@@ -1,19 +1,35 @@
-// Gateway forward-listeners and the pipelined retransmission engine
-// (paper §2.2.2 and Fig 4).
+// Gateway forward-listeners and the relay pipeline (paper §2.2.2, Fig 4).
 //
-// Per (gateway node, bridged network) a daemon actor listens on that
+// Per (gateway node, bridged network, rail) a daemon actor listens on that
 // network's SPECIAL channel. Each arriving message is a GTM stream; the
 // listener decides the outgoing real channel from the routing table
 // (special channel toward the next gateway, regular channel toward the
 // final destination — the paper's two-gateway disambiguation) and relays
-// the stream paquet by paquet. With pipeline_depth >= 2 a dedicated sender
-// actor retransmits paquet k while the listener receives paquet k+1 — the
-// paper's two-threads/two-buffers scheme. Zero-copy paths follow §2.3.
+// the stream through one pipeline (fwd/pipeline.hpp):
+//   * ingress reads the stream paquet by paquet, with the plain reader
+//     through the §2.3 zero-copy matrix or with a ReliableReceiver into a
+//     stored copy;
+//   * a RelayItem queue carries block headers, fragments and the end
+//     marker;
+//   * egress writes the items with send_relay_item or a ReliableSender.
+// The options pick the schedule:
+//   plain, pipeline_depth 1      egress inline, one item at a time;
+//   plain, pipeline_depth d > 1  a sender actor behind a (d - 1)-item
+//                                mailbox — the paper's two threads, two
+//                                buffers: paquet k goes out while paquet
+//                                k+1 comes in;
+//   reliable, window 1 / striped ingress stores the whole message, then
+//                                the egress runs inline;
+//   reliable, window > 1         a sender actor behind an unbounded
+//                                mailbox (flow mode: queue_limit x weight).
+// A failed or refused reliable attempt replays the stored copy through the
+// same egress, inline, on a fresh route.
 #include "fwd/gateway.hpp"
 
 #include <algorithm>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,7 +38,6 @@
 #include <vector>
 
 #include "fwd/pipeline.hpp"
-#include "fwd/rdma_tm.hpp"
 #include "fwd/regulation.hpp"
 #include "fwd/reliable.hpp"
 #include "fwd/virtual_channel.hpp"
@@ -33,13 +48,12 @@
 #include "sim/metrics.hpp"
 #include "util/log.hpp"
 #include "util/panic.hpp"
-#include "util/rng.hpp"
 
 namespace mad::fwd {
 
 namespace {
 
-/// RAII bracket around one scheduled egress paquet: acquires the DRR
+/// RAII bracket around one scheduled egress bundle: acquires the DRR
 /// grant on construction, releases it on destruction — including the
 /// HopFailure unwind out of ReliableSender::send, where a leaked grant
 /// would wedge every other flow on the gateway forever. No-op when flow
@@ -65,12 +79,77 @@ class FlowGrant {
   int flow_;
 };
 
-/// Per (gateway, incoming network) relay state, reused across messages.
-///
-/// Heap-owned (shared_ptr): the pipelined sender actor keeps using this
-/// state (free-buffer pool, regulator) after the listener actor's stack may
-/// already have unwound during engine shutdown, so stack ownership would be
-/// a use-after-free.
+/// The first hop of a relay's route, by value: a concurrent reliable relay
+/// may call mark_dead, which rebuilds the routing table while this relay
+/// blocks inside the network — references into the table would dangle.
+struct RelayHop {
+  Channel* channel = nullptr;
+  NodeRank next = -1;
+  GtmMsgHeader header;  // as written on this hop (reliable: fresh epoch)
+};
+
+struct StoredBlock {
+  GtmBlockHeader header;
+  std::vector<std::byte> data;
+};
+
+/// The stored copy's items in stream order, for a replay through the
+/// reliable egress (the recv/peek surface it uses of sim::Mailbox).
+class Replay {
+ public:
+  Replay(const std::deque<StoredBlock>& blocks, std::uint32_t mtu) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const GtmBlockHeader& bh = blocks[b].header;
+      items_.push_back(RelayItem::block(bh));
+      for (std::uint64_t i = 0; i < fragment_count(bh.size, mtu); ++i) {
+        items_.push_back(RelayItem::stored(
+            b, i * mtu, fragment_size(bh.size, mtu, i), /*enq_at=*/0));
+      }
+    }
+    items_.push_back(RelayItem::end());
+  }
+  RelayItem recv() {
+    RelayItem item = std::move(items_.front());
+    items_.pop_front();
+    return item;
+  }
+  const RelayItem* peek() const {
+    return items_.empty() ? nullptr : &items_.front();
+  }
+
+ private:
+  std::deque<RelayItem> items_;
+};
+
+/// How one reliable egress attempt ended.
+struct Attempt {
+  std::optional<HopFailure> failure;  // the next hop exhausted its retries
+  bool rejected = false;  // the next gateway's admission gate refused it
+  bool delivered() const { return !failure && !rejected; }
+};
+
+/// The item queue of the sender-actor schedules. Heap-owned and shared
+/// with the sender actor: during engine shutdown the ingress may unwind
+/// (and its stack frame be reused) while the sender is still parked
+/// inside items.recv(); stack-allocating this state was a use-after-free
+/// (see the regression in tests/fwd/test_failures.cpp).
+struct RelayQueue {
+  RelayQueue(sim::Engine& engine, std::size_t capacity,
+             const std::string& name)
+      : items(engine, capacity, name), done(engine, name + ".done") {}
+  sim::Mailbox<RelayItem> items;
+  sim::Condition done;
+  bool finished = false;
+  // Reliable cut-through: the stored copy (a deque, so slices the sender
+  // reads stay put while the ingress appends) and the attempt's outcome.
+  std::deque<StoredBlock> blocks;
+  Attempt attempt;
+};
+
+/// Per (gateway, incoming network, rail) relay state, reused across
+/// messages. Heap-owned (shared_ptr): a sender actor keeps using this
+/// state (free-buffer pool, regulator, flow scheduler) after the listener
+/// actor's stack may already have unwound during engine shutdown.
 class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
  public:
   GatewayRelay(VirtualChannel& vc, NodeRank self, int in_local_net, int rail)
@@ -124,13 +203,32 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     flow_turn_.notify_all();
   }
 
+  /// Parses the head of an accepted stream and relays the message. A
+  /// PeerDied abandons it: the upstream (or this gateway itself) died
+  /// mid-message, and the origin replays on a surviving route.
+  void relay_stream(MessageReader& in) {
+    try {
+      // Reliable boundary parse: skips late retransmits and ghost framing
+      // of streams this relay already completed.
+      std::optional<GtmMsgHeader> header;
+      const Preamble preamble =
+          vc_.reliable() ? vc_.read_stream_head(in, in_channel_, self_, header)
+                         : read_preamble(in);
+      MAD_ASSERT(preamble.forwarded != 0,
+                 "native message on a special channel");
+      relay_message(std::move(in), header);
+    } catch (const PeerDied&) {
+    }
+  }
+
+ private:
   void relay_message(MessageReader in, std::optional<GtmMsgHeader> pre_hdr) {
-    // In reliable mode the accept loop already parsed the header (its epoch
+    // In reliable mode relay_stream already parsed the header (its epoch
     // feeds the ghost filter in read_stream_head).
     const GtmMsgHeader hdr = pre_hdr ? *pre_hdr : read_msg_header(in);
     // A striped rail carries its GtmStripeHeader on every hop; the relay
     // forwards it verbatim. Rail identity is implied by the channel pair
-    // this relay serves, so the paquet engine below needs no other change.
+    // this relay serves, so the pipeline below needs no other change.
     std::optional<GtmStripeHeader> stripe;
     if ((hdr.flags & kGtmFlagStriped) != 0) {
       stripe = read_stripe_header(in);
@@ -140,316 +238,594 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     const auto dst = static_cast<NodeRank>(hdr.final_dst);
     MAD_ASSERT(dst != self_,
                "message to the gateway itself must use a regular channel");
-    if ((hdr.flags & kGtmFlagReliable) != 0) {
-      const TrafficClass cls = traffic_class_from_wire(hdr.traffic_class);
-      if (admission_ != nullptr) {
-        const bool new_flow =
-            flow_ids_.find({static_cast<NodeRank>(hdr.origin),
-                            static_cast<int>(traffic_class_index(cls))}) ==
-            flow_ids_.end();
-        const AdmissionController::Verdict verdict =
-            admission_->admit(cls, new_flow);
-        if (verdict != AdmissionController::Verdict::Admit) {
-          reject_message(in, hdr, cls, verdict);
-          return;
-        }
-        admission_->on_message_admitted(cls);
+    const TrafficClass cls = traffic_class_from_wire(hdr.traffic_class);
+    // Admission control exists only in flow mode, which VcOptions::validate
+    // restricts to reliable channels.
+    if (admission_ != nullptr) {
+      const bool new_flow =
+          flow_ids_.find({static_cast<NodeRank>(hdr.origin),
+                          static_cast<int>(traffic_class_index(cls))}) ==
+          flow_ids_.end();
+      const AdmissionController::Verdict verdict =
+          admission_->admit(cls, new_flow);
+      if (verdict != AdmissionController::Verdict::Admit) {
+        reject_message(in, hdr, cls, verdict);
+        return;
       }
-      try {
-        relay_reliable(in, hdr, stripe, dst);
-      } catch (...) {
-        if (admission_ != nullptr) {
-          admission_->on_message_done(cls);
-        }
-        throw;
+      admission_->on_message_admitted(cls);
+    }
+    try {
+      if ((hdr.flags & kGtmFlagReliable) != 0) {
+        relay_reliable(in, hdr, stripe, dst, cls);
+      } else {
+        relay_plain(in, hdr, stripe, dst);
       }
+    } catch (...) {
       if (admission_ != nullptr) {
         admission_->on_message_done(cls);
       }
-      in.end_unpacking();
-      ++vc_.mutable_gateway_stats(self_).messages_forwarded;
-      return;
+      throw;
     }
-    // Route by value: a concurrent reliable relay on this node may call
-    // mark_dead, which rebuilds the routing table while this relay blocks
-    // inside the network — references into the table would dangle.
-    const topo::Route route = vc_.routing().route(self_, dst);
-    const topo::Hop hop = route.front();
-    const bool last_hop = route.size() == 1;
-    // Past the last gateway messages travel on a regular channel, so plain
-    // nodes poll a single channel; toward another gateway they stay on the
-    // special channel (paper §2.2.2). Striped rails stay on their own
-    // channel pair end to end.
-    Channel& out_channel =
-        last_hop ? vc_.rail_regular_channel(hop.network, rail_, self_)
-                 : vc_.rail_special_channel(hop.network, rail_, self_);
-    const NodeRank next = hop.node;
-
-    if (vc_.options().pipeline_depth == 1) {
-      relay_sequential(in, hdr, stripe, out_channel, next, last_hop);
-    } else {
-      relay_pipelined(in, hdr, stripe, out_channel, next, last_hop);
+    if (admission_ != nullptr) {
+      admission_->on_message_done(cls);
     }
     in.end_unpacking();
     ++vc_.mutable_gateway_stats(self_).messages_forwarded;
   }
 
- private:
-  /// Phase-duration histogram: one series per (gateway, pipeline phase),
-  /// feeding the Fig 5/8 step tables and the metrics JSON report.
-  void note_phase_us(const char* phase, sim::Time begin, sim::Time end) {
-    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-    if (metrics.enabled()) {
-      metrics
-          .histogram("gw.phase_us",
-                     "gateway=" + std::to_string(self_) +
-                         ",phase=" + phase)
-          .record(sim::to_microseconds(end - begin));
-    }
-  }
+  // ------------------------------------------------------------ schedules
 
-  struct StoredBlock {
-    GtmBlockHeader header;
-    std::vector<std::byte> data;
-  };
-
-  /// Reliable-mode relay: store-and-forward with downstream failover.
-  ///
-  /// At window = 1 — and on striped rails, whose reassembly protocol
-  /// assumes a rail appears downstream all-or-nothing — the relay is
-  /// strictly two-phase. Phase 1 receives (and acks) the whole message
-  /// into owned buffers; the upstream hop is then done with it, so a
-  /// downstream failure never has to propagate back. Phase 2 resends it
-  /// reliably, declaring dead hops to the routing table and retrying over
-  /// the surviving routes. With window > 1 the relay cuts through instead
-  /// (relay_reliable_streaming below). Known limitation: if THIS gateway
-  /// crashes after the upstream acks completed but before downstream
-  /// delivery, the message is lost (end-to-end acks would be needed to
-  /// close that window).
-  void relay_reliable(MessageReader& in, const GtmMsgHeader& hdr,
-                      const std::optional<GtmStripeHeader>& stripe,
-                      NodeRank dst) {
-    if (vc_.options().reliable.window > 1 && !stripe) {
-      relay_reliable_streaming(in, hdr, dst);
+  /// Plain relay: the egress runs inline at pipeline depth 1, else in a
+  /// sender actor behind a (depth - 1)-item mailbox.
+  void relay_plain(MessageReader& in, const GtmMsgHeader& hdr,
+                   const std::optional<GtmStripeHeader>& stripe,
+                   NodeRank dst) {
+    const RelayHop hop = first_hop(dst, hdr);
+    const int depth = vc_.options().pipeline_depth;
+    if (depth == 1) {
+      MessageWriter out = open_outgoing(hop, stripe);
+      ingress_plain(in, hop, [&](RelayItem item) {
+        send_plain(out, hop, std::move(item));
+      });
+      out.end_packing();
       return;
     }
-    const int flow = flow_id_for(static_cast<NodeRank>(hdr.origin),
-                                 traffic_class_from_wire(hdr.traffic_class));
-    const NodeRank from = in.source();
+    const auto queue = spawn_sender(
+        static_cast<std::size_t>(depth - 1),
+        [self = shared_from_this(), hop, stripe](RelayQueue& q) {
+          MessageWriter out = self->open_outgoing(hop, stripe);
+          while (self->send_plain(out, hop, q.items.recv())) {
+          }
+          out.end_packing();
+        });
+    ingress_plain(in, hop, [&](RelayItem item) {
+      queue->items.send(std::move(item));
+    });
+    await_sender(*queue);
+  }
 
-    // Phase 1: receive the full message, paquet by paquet, acking each.
+  /// Reliable relay. The ingress acks every paquet as it lands, so the
+  /// upstream hop cannot be asked again: the relay keeps a stored copy,
+  /// and a failed or refused egress attempt replays it on a fresh route.
+  ///
+  /// At window 1 — and on striped rails, whose reassembly protocol assumes
+  /// a rail appears downstream all-or-nothing — the relay stores the whole
+  /// message before the egress starts, so a downstream failure never has
+  /// to propagate back. With window > 1 it cuts through: a sender actor
+  /// drains the items while the ingress receives the next paquet. Known
+  /// limitation: if THIS gateway crashes after the upstream acks completed
+  /// but before downstream delivery, the message is lost (end-to-end acks
+  /// would be needed to close that window).
+  void relay_reliable(MessageReader& in, const GtmMsgHeader& hdr,
+                      const std::optional<GtmStripeHeader>& stripe,
+                      NodeRank dst, TrafficClass cls) {
+    const NodeRank origin = static_cast<NodeRank>(hdr.origin);
+    const int flow = flow_id_for(origin, cls);
     // detect_dead: an upstream that dies (or is rerouted away) mid-stream
     // abandons its half-sent message, and a blocking receiver would wait
     // on the rest of it forever.
-    std::deque<StoredBlock> blocks;
-    ReliableReceiver rx(vc_, self_, in_channel_, from, hdr.epoch,
+    ReliableReceiver rx(vc_, self_, in_channel_, in.source(), hdr.epoch,
                         /*detect_dead=*/true);
+    if (vc_.options().reliable.window == 1 || stripe) {
+      std::deque<StoredBlock> blocks;
+      ingress_reliable(rx, in, hdr, blocks, [](RelayItem) {});
+      deliver_stored(blocks, hdr, stripe, dst, flow, cls);
+      return;
+    }
+    // The item mailbox is unbounded by default: every fragment is stored
+    // for replay anyway, so cut-through depth costs no extra memory and
+    // the ingress must never block behind a sender that is busy
+    // retransmitting (or already failed). In flow mode it is bounded at
+    // queue_limit x weight instead — a full queue blocks this flow's
+    // ingress, which stalls its hop acks and backpressures the origin's
+    // window, while the sender keeps draining after a failure so the bound
+    // cannot deadlock the pair. A weight-w flow drains w quanta per DRR
+    // round, so both its queue bound and its mark point scale with the
+    // weight — otherwise its visits go underfilled.
+    const RelayHop hop = reliable_hop(dst, hdr);
+    const auto queue = spawn_sender(
+        flow_sched_ != nullptr
+            ? static_cast<std::size_t>(
+                  static_cast<double>(vc_.options().flow.queue_limit) *
+                  std::max(1.0, flow_sched_->weight_of(flow)))
+            : 0,
+        [self = shared_from_this(), hop, flow, cls](RelayQueue& q) {
+          q.attempt = self->send_reliable(q.items, hop, std::nullopt,
+                                          q.blocks, flow, cls,
+                                          /*account=*/true);
+        });
+    std::optional<PeerDied> upstream_died;
+    try {
+      ingress_reliable(rx, in, hdr, queue->blocks, [&](RelayItem item) {
+        const bool fragment = item.kind == RelayItem::Kind::FragmentStored;
+        const std::size_t size = item.size;
+        queue->items.send(std::move(item));
+        if (fragment) {
+          note_enqueue(cls, size);
+          if (flow_sched_ != nullptr) {
+            note_flow_depth(rx, origin, flow, queue->items.size());
+          }
+        }
+      });
+    } catch (const PeerDied& dead) {
+      upstream_died = dead;
+      queue->items.send(RelayItem::abort());
+    }
+    await_sender(*queue);
+    if (upstream_died) {
+      // Upstream died (or this gateway's own NIC crashed) mid-stream:
+      // abandon the partial relay — the origin replays on a surviving
+      // route, and downstream readers adopt the replayed stream.
+      throw *upstream_died;
+    }
+    if (queue->attempt.delivered() || vc_.node_crashed(self_)) {
+      return;
+    }
+    recover(queue->attempt, dst, /*rejects=*/0);
+    deliver_stored(queue->blocks, hdr, std::nullopt, dst, flow, cls);
+  }
+
+  /// Inline egress of the stored copy, retried on a fresh route after every
+  /// failed or refused attempt (or an "unreachable" panic when no route is
+  /// left).
+  void deliver_stored(const std::deque<StoredBlock>& blocks,
+                      const GtmMsgHeader& hdr,
+                      const std::optional<GtmStripeHeader>& stripe,
+                      NodeRank dst, int flow, TrafficClass cls) {
+    const sim::Time start = engine_.now();
+    for (int rejects = 0;;) {
+      // This gateway's own NIC crashed (even if it has recovered since
+      // the replay began): stand down quietly instead of declaring healthy
+      // peers dead off our suppressed acks.
+      if (vc_.node_crashed_within(self_, start)) {
+        return;
+      }
+      Replay items(blocks, vc_.mtu());
+      const Attempt attempt =
+          send_reliable(items, reliable_hop(dst, hdr), stripe, blocks, flow,
+                        cls, /*account=*/false);
+      if (attempt.delivered() || vc_.node_crashed_within(self_, start)) {
+        return;
+      }
+      recover(attempt, dst, rejects);
+      if (attempt.rejected) {
+        ++rejects;
+      }
+    }
+  }
+
+  /// Between reliable attempts: back off after a refusal (the hop is
+  /// healthy, the next gateway overloaded), else declare the failed hop
+  /// dead and fail over.
+  void recover(const Attempt& attempt, NodeRank dst, int rejects) {
+    if (attempt.rejected) {
+      sleep_reject_backoff(rejects);
+    } else {
+      vc_.fail_over(self_, dst, &*attempt.failure);
+    }
+  }
+
+  /// Starts a sender-actor schedule: `egress` drains a fresh item queue
+  /// of `capacity` (0 = unbounded) in an actor of its own, while the
+  /// caller's ingress fills it and then meets the sender in await_sender.
+  std::shared_ptr<RelayQueue> spawn_sender(
+      std::size_t capacity, std::function<void(RelayQueue&)> egress) {
+    auto queue = std::make_shared<RelayQueue>(
+        engine_, capacity, vc_.name() + ".gwitems." + std::to_string(self_));
+    engine_.spawn(vc_.name() + ".gwsend." + std::to_string(self_),
+                  [queue, egress = std::move(egress)] {
+                    egress(*queue);
+                    queue->finished = true;
+                    queue->done.notify_all();
+                  });
+    return queue;
+  }
+
+  void await_sender(RelayQueue& queue) {
+    while (!queue.finished) {
+      queue.done.wait();
+    }
+  }
+
+  // -------------------------------------------------------------- ingress
+
+  /// Plain ingress: block headers, fragments received through the §2.3
+  /// zero-copy matrix, and the end marker. A block header item carries the
+  /// one-sided flag, so whoever runs the egress pays the rendezvous — with
+  /// a sender actor the handshake overlaps the next receive like any
+  /// other egress cost.
+  template <class Emit>
+  void ingress_plain(MessageReader& in, const RelayHop& hop, Emit&& emit) {
+    for (;;) {
+      const GtmBlockHeader bh = read_block_header(in);
+      if (bh.end_of_message != 0) {
+        emit(RelayItem::end());
+        return;
+      }
+      const bool one_sided = rdma_block(*hop.channel, bh.size);
+      emit(RelayItem::block(bh, one_sided));
+      const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
+      for (std::uint64_t i = 0; i < fragments; ++i) {
+        RelayItem item = receive_fragment(
+            in, *hop.channel, fragment_size(bh.size, vc_.mtu(), i));
+        item.one_sided = one_sided;
+        item.completion = one_sided && i + 1 == fragments;
+        emit(std::move(item));
+      }
+    }
+  }
+
+  /// Reliable ingress: receives (and acks) the stream into the stored copy
+  /// `blocks`, handing each block header, stored fragment and the end
+  /// marker to `emit`.
+  template <class Emit>
+  void ingress_reliable(ReliableReceiver& rx, MessageReader& in,
+                        const GtmMsgHeader& hdr,
+                        std::deque<StoredBlock>& blocks, Emit&& emit) {
+    const NodeRank from = in.source();
     std::uint32_t seq = 0;
     for (;;) {
       const GtmBlockHeader bh = rx.recv_block_header(in, seq++);
       if (bh.end_of_message != 0) {
-        break;
+        // The upstream stream is complete: boundary drains re-ack its late
+        // retransmits (the sender may have lost our acks to a fault
+        // window) and the ghost filter keeps its duplicated framing from
+        // reopening it.
+        Connection& up = in_channel_.connection_to(from);
+        up.rx_epoch_done = std::max(up.rx_epoch_done, hdr.epoch);
+        // If a fault window swallowed the tail acks, this actor (not the
+        // relay, which is about to block on other work) keeps
+        // re-advertising them so the upstream sender cannot exhaust its
+        // retry budget on a message we already own.
+        vc_.spawn_tail_acker(in_channel_, from, hdr.epoch, seq - 1);
+        emit(RelayItem::end());
+        return;
       }
-      StoredBlock block;
-      block.header = bh;
-      block.data.resize(bh.size);
-      const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
-      for (std::uint64_t i = 0; i < fragments; ++i) {
+      blocks.push_back(StoredBlock{bh, std::vector<std::byte>(bh.size)});
+      const std::size_t index = blocks.size() - 1;
+      emit(RelayItem::block(bh));
+      for (std::uint64_t i = 0; i < fragment_count(bh.size, vc_.mtu()); ++i) {
         const std::uint32_t size = fragment_size(bh.size, vc_.mtu(), i);
-        receive_reliable_fragment(
-            rx, in, seq++,
-            util::MutByteSpan(block.data).subspan(i * vc_.mtu(), size));
+        const std::uint64_t offset = i * vc_.mtu();
+        regulator_.pace(size);
+        const sim::Time begin = engine_.now();
+        rx.recv(in, seq++,
+                util::MutByteSpan(blocks[index].data).subspan(offset, size));
+        note_received(begin, size);
+        emit(RelayItem::stored(index, offset, size, engine_.now()));
       }
-      blocks.push_back(std::move(block));
     }
-    // The upstream stream is complete: boundary drains re-ack its late
-    // retransmits (the sender may have lost our acks to a fault window)
-    // and the ghost filter keeps its duplicated framing from reopening it.
-    Connection& up = in_channel_.connection_to(from);
-    up.rx_epoch_done = std::max(up.rx_epoch_done, hdr.epoch);
-    // If a fault window swallowed the tail acks, this actor (not the relay,
-    // which is about to block on other work) keeps re-advertising them so
-    // the upstream sender cannot exhaust its retry budget on a message we
-    // already own.
-    vc_.spawn_tail_acker(in_channel_, from, hdr.epoch, seq - 1);
-    // Phase 2: reliable resend toward dst, failing over on dead hops.
-    deliver_stored(blocks, hdr, stripe, dst, flow);
   }
 
-  /// One reliable fragment into `dst`, with the relay's pacing, tracing
-  /// and per-paquet switch overhead.
-  void receive_reliable_fragment(ReliableReceiver& rx, MessageReader& in,
-                                 std::uint32_t seq, util::MutByteSpan dst) {
-    const auto size = static_cast<std::uint32_t>(dst.size());
+  /// Receives the next paquet of `size` bytes, choosing the §2.3 zero-copy
+  /// path from the static/dynamic buffer modes of both sides.
+  RelayItem receive_fragment(MessageReader& in, Channel& out_channel,
+                             std::uint32_t size) {
+    TransmissionModule& in_tm = in_channel_.tm();
+    TransmissionModule& out_tm = out_channel.tm();
+    const bool in_static = in_tm.model().rx_static();
+    const bool out_static = out_tm.model().tx_static();
+    const bool zero_copy = vc_.options().zero_copy;
+
     regulator_.pace(size);
     const sim::Time begin = engine_.now();
-    rx.recv(in, seq, dst);
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(begin, engine_.now(), "gw.recv",
-                                  "bytes=" + std::to_string(size));
+    RelayItem item;
+    item.size = size;
+    if (in_static && zero_copy) {
+      // Consume the paquet's protocol buffer directly (the GTM discipline
+      // guarantees one express paquet == one static buffer).
+      const std::uint64_t rx_tag =
+          in_channel_.connection_to(in.source()).rx_tag;
+      auto in_ref = in_tm.recv_packet_static(rx_tag);
+      MAD_ASSERT(in_ref.used() == size, "paquet/static-buffer size mismatch");
+      if (out_static) {
+        // static → static: the one unavoidable copy (paper §2.3).
+        auto out_ref = out_tm.acquire_static_buffer();
+        counted_copy(out_ref.span().first(size), in_ref.data(),
+                     CopyPath::ZeroCopy);
+        out_ref.set_used(size);
+        item.kind = RelayItem::Kind::FragmentStaticOut;
+        item.static_out = std::move(out_ref);
+      } else {
+        // static → dynamic: send straight from the incoming buffer.
+        item.kind = RelayItem::Kind::FragmentHoldIn;
+        item.hold_in = std::move(in_ref);
+      }
+    } else if (out_static && zero_copy) {
+      // dynamic → static: "ask the outgoing TM for a static buffer which
+      // we use to receive data into" (paper §2.3).
+      auto out_ref = out_tm.acquire_static_buffer();
+      in.unpack(out_ref.span().first(size), SendMode::Cheaper,
+                RecvMode::Express);
+      out_ref.set_used(size);
+      item.kind = RelayItem::Kind::FragmentStaticOut;
+      item.static_out = std::move(out_ref);
+    } else {
+      // dynamic → dynamic (or zero-copy disabled): a recycled pipeline
+      // buffer. Still copy-free for dynamic protocols — the NIC scatters
+      // into and gathers out of this buffer directly.
+      std::vector<std::byte> buffer = free_buffers_.recv();
+      in.unpack(util::MutByteSpan(buffer).first(size), SendMode::Cheaper,
+                RecvMode::Express);
+      item.kind = RelayItem::Kind::FragmentDynamic;
+      item.buffer = std::move(buffer);
     }
-    note_phase_us("recv", begin, engine_.now());
+    note_received(begin, size);
+    return item;
+  }
+
+  /// Closes every paquet receive: the recv phase, the forwarding counters,
+  /// and the software cost of handing the buffer to the egress (measured
+  /// ≈40 µs per switch on the paper's testbed, §3.3.1).
+  void note_received(sim::Time begin, std::uint32_t size) {
+    note_phase("recv", begin, size);
     GatewayStats& stats = vc_.mutable_gateway_stats(self_);
     ++stats.paquets_forwarded;
     stats.bytes_forwarded += size;
     const sim::Time switch_begin = engine_.now();
     engine_.sleep_for(vc_.options().gateway_sw_overhead);
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(switch_begin, engine_.now(), "gw.switch");
-    }
-    note_phase_us("switch", switch_begin, engine_.now());
+    note_phase("switch", switch_begin);
   }
 
-  /// Reliable resend of a stored message toward dst, declaring dead hops
-  /// and failing over onto surviving routes until delivery (or an
-  /// "unreachable" panic when no route is left).
-  void deliver_stored(const std::deque<StoredBlock>& blocks,
-                      const GtmMsgHeader& hdr,
-                      const std::optional<GtmStripeHeader>& stripe,
-                      NodeRank dst, int flow) {
-    const sim::Time delivery_start = engine_.now();
-    int reject_attempts = 0;
-    for (;;) {
-      if (vc_.node_crashed_within(self_, delivery_start)) {
-        // This gateway's own NIC crashed (even if it has recovered since
-        // the attempt began): stand down quietly instead of declaring
-        // healthy peers dead off our suppressed acks.
-        return;
-      }
-      if (!vc_.routing().reachable(self_, dst)) {
-        MAD_PANIC("node " + std::to_string(dst) +
-                  " unreachable from gateway " + std::to_string(self_) +
-                  ": no route survives the failed nodes");
-      }
-      // Route by value: mark_dead rebuilds the table while we block.
-      const topo::Route route = vc_.routing().route(self_, dst);
-      const topo::Hop hop = route.front();
-      const bool last_hop = route.size() == 1;
-      Channel& out_channel =
-          last_hop ? vc_.rail_regular_channel(hop.network, rail_, self_)
-                   : vc_.rail_special_channel(hop.network, rail_, self_);
-      const NodeRank next = hop.node;
-      GtmMsgHeader out_hdr = hdr;
-      out_hdr.epoch = ++out_channel.connection_to(next).tx_epoch;
-      std::optional<HopFailure> failed;
-      bool rejected = false;
-      {
-        MessageWriter out = open_outgoing(out_channel, next, last_hop,
-                                          out_hdr, stripe);
-        {
-          ReliableSender snd(vc_, self_, out, out_channel, next,
-                             out_hdr.epoch);
-          snd.set_framing(Preamble{out_hdr.origin, 1}, out_hdr, stripe);
-          std::uint32_t out_seq = 0;
-          try {
-            const std::uint64_t allowance =
-                flow_sched_ != nullptr ? flow_sched_->allowance(flow) : 1;
-            for (const StoredBlock& block : blocks) {
-              const bool one_sided =
-                  rdma_block(out_channel, block.header.size);
-              snd.send_block_header(out_seq++, block.header);
-              if (one_sided) {
-                rdma_rendezvous(out_channel, next, block.header.size);
-              }
-              const std::uint64_t fragments =
-                  fragment_count(block.header.size, vc_.mtu());
-              for (std::uint64_t i = 0; i < fragments;) {
-                // Bundle fragments up to the flow's DRR allowance per
-                // grant (a single fragment outside flow mode); the head
-                // fragment always goes, even oversized.
-                const std::uint64_t first = i;
-                std::uint64_t bundle_bytes = 0;
-                std::size_t count = 0;
-                while (i < fragments) {
-                  const std::uint32_t size =
-                      fragment_size(block.header.size, vc_.mtu(), i);
-                  if (count > 0 && bundle_bytes + size > allowance) {
-                    break;
-                  }
-                  bundle_bytes += size;
-                  ++count;
-                  ++i;
-                }
-                // Drain the window first so the DRR grant below covers
-                // only the wire occupancy of the bundle, never an ack
-                // round trip — a flow waiting out its window must not
-                // hold the egress against every other flow.
-                snd.make_room(count);
-                const sim::Time send_begin = engine_.now();
-                {
-                  FlowGrant grant(flow_sched_.get(), flow, bundle_bytes);
-                  // Occupancy clock starts when the grant is held, not
-                  // when we began waiting for it.
-                  const sim::Time granted_at = engine_.now();
-                  for (std::uint64_t j = first; j < i; ++j) {
-                    const std::uint32_t size =
-                        fragment_size(block.header.size, vc_.mtu(), j);
-                    snd.send(out_seq++,
-                             util::ByteSpan(block.data)
-                                 .subspan(j * vc_.mtu(), size),
-                             one_sided);
-                  }
-                  hold_for_wire(out_channel, bundle_bytes, granted_at);
-                }
-                if (vc_.options().trace != nullptr) {
-                  vc_.options().trace->record(
-                      send_begin, engine_.now(), "gw.send",
-                      "bytes=" + std::to_string(bundle_bytes));
-                }
-                note_phase_us("send", send_begin, engine_.now());
-              }
+  // --------------------------------------------------------------- egress
+
+  /// Plain egress of one item; false once the end marker is out.
+  bool send_plain(MessageWriter& out, const RelayHop& hop, RelayItem item) {
+    if (item.kind == RelayItem::Kind::End) {
+      write_block_header(out, end_marker());
+      return false;
+    }
+    const bool fragment = item.kind != RelayItem::Kind::BlockHeader;
+    const std::size_t bytes = item.size;
+    const sim::Time begin = engine_.now();
+    std::vector<std::byte> buffer =
+        send_relay_item(out, hop.channel->tm(),
+                        hop.channel->connection_to(hop.next), std::move(item),
+                        vc_);
+    if (!buffer.empty()) {
+      MAD_ASSERT(buffer.size() == vc_.mtu(), "foreign buffer in gw pool");
+      free_buffers_.send(std::move(buffer));
+    }
+    if (fragment) {
+      note_phase("send", begin, bytes);
+    }
+    return true;
+  }
+
+  /// Reliable egress: one attempt at writing the queued items onto a fresh
+  /// reliable stream toward `hop`. `items` is the live mailbox of the
+  /// cut-through schedule or a Replay of the stored copy. With `account`
+  /// the items leave the admission byte ledger (only the cut-through queue
+  /// is a standing egress queue; a replay is governed by the message
+  /// budgets alone).
+  template <class Queue>
+  Attempt send_reliable(Queue& items, const RelayHop& hop,
+                        const std::optional<GtmStripeHeader>& stripe,
+                        const std::deque<StoredBlock>& blocks, int flow,
+                        TrafficClass cls, bool account) {
+    Attempt attempt;
+    MessageWriter out = open_outgoing(hop, stripe);
+    {
+      ReliableSender snd(vc_, self_, out, *hop.channel, hop.next,
+                         hop.header.epoch);
+      snd.set_framing(Preamble{hop.header.origin, 1}, hop.header, stripe);
+      std::uint32_t seq = 0;
+      bool ended = false;
+      try {
+        while (!ended) {
+          RelayItem item = items.recv();
+          ended = item.kind == RelayItem::Kind::End ||
+                  item.kind == RelayItem::Kind::Abort;
+          if (item.kind == RelayItem::Kind::BlockHeader) {
+            snd.send_block_header(seq++, item.header);
+            if (rdma_block(*hop.channel, item.header.size)) {
+              rdma_rendezvous(vc_, hop.channel->tm(),
+                              hop.channel->connection_to(hop.next),
+                              item.header.size);
             }
-            snd.send_block_header(out_seq, end_marker());
+          } else if (item.kind == RelayItem::Kind::FragmentStored) {
+            send_bundle(snd, seq, items, std::move(item), hop, blocks, flow,
+                        cls, account);
+          } else if (item.kind == RelayItem::Kind::End) {
+            snd.send_block_header(seq, end_marker());
             snd.flush();
-          } catch (const HopFailure& f) {
-            // Keep the exception out of `out`'s destructor path: the
-            // window is abandoned with the sender, so end_packing below
-            // is non-blocking and releases the connection's tx lock.
-            failed = f;
-          } catch (const FlowRejected&) {
-            // The next hop is itself an overloaded gateway. The hop is
-            // healthy — back off and retry, never declare it dead.
-            rejected = true;
           }
         }
-        out.end_packing();
+      } catch (const HopFailure& f) {
+        // Keep the exception out of `out`'s destructor path: the window is
+        // abandoned with the sender, so end_packing below is non-blocking
+        // and releases the connection's tx lock.
+        attempt.failure = f;
+      } catch (const FlowRejected&) {
+        // The next hop is itself an overloaded gateway. The hop is
+        // healthy — back off and retry, never declare it dead.
+        attempt.rejected = true;
       }
-      if (!failed && !rejected) {
-        return;
+      // Keep draining after a failure so a bounded (flow mode) queue
+      // cannot wedge the ingress; the stored copy replays afterwards.
+      // Drained fragments still leave the admission byte ledger —
+      // otherwise a failover would leak their queued bytes against the
+      // class budget forever.
+      while (!ended) {
+        const RelayItem item = items.recv();
+        ended = item.kind == RelayItem::Kind::End ||
+                item.kind == RelayItem::Kind::Abort;
+        if (account && item.kind == RelayItem::Kind::FragmentStored) {
+          note_dequeue(cls, item.size, item.enq_at);
+        }
       }
-      if (vc_.node_crashed_within(self_, delivery_start)) {
-        return;
+    }
+    out.end_packing();
+    return attempt;
+  }
+
+  /// Sends `head` and the stored fragments queued right behind it as one
+  /// deficit-round-robin bundle: up to this flow's per-visit allowance
+  /// (quantum x weight), so one grant moves a weight-proportional batch (a
+  /// single fragment outside flow mode). The head always goes, even
+  /// oversized.
+  template <class Queue>
+  void send_bundle(ReliableSender& snd, std::uint32_t& seq, Queue& items,
+                   RelayItem head, const RelayHop& hop,
+                   const std::deque<StoredBlock>& blocks, int flow,
+                   TrafficClass cls, bool account) {
+    std::uint64_t bytes = head.size;
+    std::vector<RelayItem> bundle;
+    bundle.push_back(std::move(head));
+    while (flow_sched_ != nullptr) {
+      const RelayItem* next = items.peek();
+      if (next == nullptr || next->kind != RelayItem::Kind::FragmentStored ||
+          bytes + next->size > flow_sched_->allowance(flow)) {
+        break;
       }
-      if (rejected) {
-        sleep_reject_backoff(reject_attempts++);
-        continue;
+      bytes += next->size;
+      bundle.push_back(items.recv());
+    }
+    // Leaving the item queue IS the dequeue the admission ledger tracks —
+    // account before make_room, which can throw (a HopFailure here must
+    // not leak the bundle's bytes against the class budget).
+    if (account) {
+      for (const RelayItem& b : bundle) {
+        note_dequeue(cls, b.size, b.enq_at);
       }
-      note_hop_death(*failed, dst);
+    }
+    // Drain the window first so the DRR grant below covers only the wire
+    // occupancy of the bundle, never an ack round trip — a flow waiting
+    // out its window must not hold the egress against every other flow.
+    snd.make_room(bundle.size());
+    const sim::Time begin = engine_.now();
+    {
+      FlowGrant grant(flow_sched_.get(), flow, bytes);
+      // Occupancy clock starts when the grant is held, not when we began
+      // waiting for it.
+      const sim::Time granted_at = engine_.now();
+      for (const RelayItem& b : bundle) {
+        const StoredBlock& block = blocks[b.block_index];
+        snd.send(seq++, util::ByteSpan(block.data).subspan(b.offset, b.size),
+                 rdma_block(*hop.channel, block.header.size));
+      }
+      hold_for_wire(*hop.channel, bytes, granted_at);
+    }
+    note_phase("send", begin, bytes);
+  }
+
+  /// Holds the calling actor (and therefore its DRR grant) until the
+  /// bundle's egress-wire occupancy has elapsed since `send_begin`. The
+  /// simulator models wires per (src, dst) pair, but a real adapter
+  /// serializes its egress port — and that serialization is the shared
+  /// resource the flow scheduler arbitrates. Without it, concurrent flows
+  /// would each see a private full-rate wire and no queue could ever
+  /// build, making weights and marks dead code. The sender-side pack cost
+  /// already spent inside the grant counts toward the occupancy (DMA
+  /// streams into the NIC FIFO while the wire transmits). No-op outside
+  /// flow mode.
+  void hold_for_wire(Channel& out_channel, std::uint64_t bytes,
+                     sim::Time send_begin) {
+    if (flow_sched_ == nullptr) {
+      return;
+    }
+    const sim::Time occupancy = sim::transfer_time(
+        bytes, out_channel.network().model().wire_bandwidth);
+    const sim::Time elapsed = engine_.now() - send_begin;
+    if (elapsed < occupancy) {
+      engine_.sleep_for(occupancy - elapsed);
     }
   }
 
-  /// Declares a failed hop dead and records whether a failover survives.
-  void note_hop_death(const HopFailure& failed, NodeRank dst) {
-    GatewayStats& stats = vc_.mutable_gateway_stats(self_);
-    vc_.mark_dead(failed.next_hop);
-    ++stats.reliability.peers_declared_dead;
-    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
-    const std::string node_label = "node=" + std::to_string(self_);
-    metrics.add("rel.dead_peers", node_label);
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->instant_here(
-          "rel.dead", "peer=" + std::to_string(failed.next_hop));
+  // ------------------------------------------------------ hops and framing
+
+  /// The first hop toward `dst`. Past the last gateway messages travel on
+  /// a regular channel, so plain nodes poll a single channel; toward
+  /// another gateway they stay on the special channel (paper §2.2.2).
+  /// Striped rails stay on their own channel pair end to end.
+  RelayHop first_hop(NodeRank dst, const GtmMsgHeader& hdr) const {
+    const topo::Route route = vc_.routing().route(self_, dst);
+    const topo::Hop& hop = route.front();
+    Channel& channel =
+        route.size() == 1
+            ? vc_.rail_regular_channel(hop.network, rail_, self_)
+            : vc_.rail_special_channel(hop.network, rail_, self_);
+    return RelayHop{&channel, hop.node, hdr};
+  }
+
+  /// first_hop for a reliable attempt: panics with the "unreachable"
+  /// diagnosis when no route survives, and opens a fresh epoch on the
+  /// hop's connection.
+  RelayHop reliable_hop(NodeRank dst, const GtmMsgHeader& hdr) {
+    vc_.fail_over(self_, dst, /*failed=*/nullptr);
+    RelayHop hop = first_hop(dst, hdr);
+    hop.header.epoch = ++hop.channel->connection_to(hop.next).tx_epoch;
+    return hop;
+  }
+
+  MessageWriter open_outgoing(const RelayHop& hop,
+                              const std::optional<GtmStripeHeader>& stripe) {
+    MessageWriter out = hop.channel->begin_packing(hop.next);
+    // Every hop message starts with the preamble paquet — the fixed,
+    // smaller-than-any-reliable-paquet message opener that lets the next
+    // receiver drop stale retransmits at the boundary by size.
+    write_preamble(out, Preamble{hop.header.origin, 1});
+    write_msg_header(out, hop.header);
+    if (stripe) {
+      write_stripe_header(out, *stripe);
     }
-    if (vc_.routing().reachable(self_, dst)) {
-      ++stats.reliability.failovers;
-      metrics.add("rel.failovers", node_label);
-      if (vc_.options().trace != nullptr) {
-        vc_.options().trace->instant_here(
-            "rel.failover", "dst=" + std::to_string(dst) + " around=" +
-                                std::to_string(failed.next_hop));
-      }
+    return out;
+  }
+
+  /// True when a block of `size` bytes crosses `out_channel` as one-sided
+  /// writes: rdma is on, the out TM keeps dynamic buffers (a static or
+  /// hybrid TM routes received paquets through protocol buffers the remote
+  /// write model cannot target), and the block is at or above the
+  /// rendezvous threshold (smaller blocks stay eager/two-sided).
+  bool rdma_block(Channel& out_channel, std::uint64_t size) const {
+    const net::NicModelParams& m = out_channel.tm().model();
+    return vc_.options().rdma.enabled && !m.tx_static() && !m.hybrid() &&
+           size >= vc_.options().rdma.rendezvous_threshold;
+  }
+
+  // ------------------------------------------------------ instrumentation
+
+  /// The one instrumentation point of a gateway phase ("recv", "switch",
+  /// "send"): the sim::Trace interval the Fig 5/8 step tables read, and
+  /// the gw.phase_us sample of the metrics report (one series per gateway
+  /// and phase).
+  void note_phase(const std::string& phase, sim::Time begin,
+                  std::optional<std::uint64_t> bytes = std::nullopt) {
+    const sim::Time end = engine_.now();
+    if (sim::Trace* trace = vc_.options().trace; trace != nullptr) {
+      trace->record(begin, end, "gw." + phase,
+                    bytes ? "bytes=" + std::to_string(*bytes) : "");
+    }
+    sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
+    if (metrics.enabled()) {
+      metrics
+          .histogram("gw.phase_us",
+                     "gateway=" + std::to_string(self_) + ",phase=" + phase)
+          .record(sim::to_microseconds(end - begin));
     }
   }
+
+  // ---------------------------------------------- flows and admission
 
   /// Refuses an over-budget (or shed) message at the admission gate. The
   /// message's epoch is marked done before a single payload paquet is
@@ -489,324 +865,19 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
 
   /// Backoff before retrying a downstream gateway that rejected this
   /// relay's message (a gateway chain where the NEXT gateway is itself
-  /// overloaded). Mirrors the origin-side writer's schedule: exponential
-  /// with deterministic jitter, capped.
+  /// overloaded), on the origin writer's schedule.
   void sleep_reject_backoff(int attempts) {
-    const FlowOptions& flow = vc_.options().flow;
-    double delay = static_cast<double>(flow.reject_backoff);
-    const double cap = static_cast<double>(flow.reject_backoff_cap);
-    for (int i = 0; i < attempts && delay < cap; ++i) {
-      delay *= flow.reject_backoff_factor;
-    }
-    delay = std::min(delay, cap);
-    util::Rng jitter((static_cast<std::uint64_t>(self_) << 40) ^
-                     static_cast<std::uint64_t>(attempts));
-    delay += delay * 0.25 * jitter.next_double();
+    const sim::Time delay = reject_backoff_delay(
+        vc_.options().flow, attempts,
+        (static_cast<std::uint64_t>(self_) << 40) ^
+            static_cast<std::uint64_t>(attempts));
     sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
     metrics.add("flow.reject_retries", "node=" + std::to_string(self_));
     if (vc_.options().trace != nullptr) {
       vc_.options().trace->instant_here(
           "flow.rejected", "attempts=" + std::to_string(attempts));
     }
-    engine_.sleep_for(static_cast<sim::Time>(delay));
-  }
-
-  /// Cut-through reliable relay (window > 1, unstriped): a dedicated
-  /// sender actor retransmits paquet k downstream while the listener
-  /// receives paquet k+1 — the paper's two-threads/two-buffers scheme
-  /// applied to the reliable path. The listener still stores every block:
-  /// the upstream hop is acked as soon as a paquet lands and cannot be
-  /// asked again, so if the downstream hop dies mid-stream the sender's
-  /// window is abandoned and the whole message replays from the stored
-  /// copy onto a failover route (deliver_stored).
-  void relay_reliable_streaming(MessageReader& in, const GtmMsgHeader& hdr,
-                                NodeRank dst) {
-    const NodeRank from = in.source();
-    if (!vc_.routing().reachable(self_, dst)) {
-      MAD_PANIC("node " + std::to_string(dst) + " unreachable from gateway " +
-                std::to_string(self_) +
-                ": no route survives the failed nodes");
-    }
-    const topo::Route route = vc_.routing().route(self_, dst);
-    const topo::Hop hop = route.front();
-    const bool last_hop = route.size() == 1;
-    Channel& out_channel =
-        last_hop ? vc_.rail_regular_channel(hop.network, rail_, self_)
-                 : vc_.rail_special_channel(hop.network, rail_, self_);
-    const NodeRank next = hop.node;
-    GtmMsgHeader out_hdr = hdr;
-    out_hdr.epoch = ++out_channel.connection_to(next).tx_epoch;
-    const TrafficClass cls = traffic_class_from_wire(hdr.traffic_class);
-    const int flow = flow_id_for(static_cast<NodeRank>(hdr.origin), cls);
-
-    struct StreamItem {
-      enum class Kind { Header, Fragment, End, Abort };
-      Kind kind = Kind::End;
-      std::size_t block = 0;
-      std::uint64_t offset = 0;
-      std::uint32_t size = 0;
-      // Admission accounting: when this fragment entered the egress queue
-      // (sojourn feeds the CoDel-style shedding policy).
-      sim::Time enq_at = 0;
-    };
-    // Shared with the sender actor, heap-owned for the same shutdown
-    // reason as PipeState below. The item mailbox is unbounded by default:
-    // every fragment is stored for replay anyway, so cut-through depth
-    // costs no extra memory and the listener must never block behind a
-    // sender that is busy retransmitting (or already failed). In flow mode
-    // it is bounded at flow.queue_limit instead — a full queue blocks this
-    // flow's listener, which stalls its hop acks and backpressures the
-    // origin's window, while the sender keeps draining even after a
-    // HopFailure so the bound cannot deadlock the pair. blocks is a deque
-    // so references the sender reads from stay stable while the listener
-    // appends.
-    struct StreamState {
-      StreamState(sim::Engine& engine, std::size_t capacity,
-                  const std::string& name)
-          : items(engine, capacity, name), done(engine, name + ".done") {}
-      sim::Mailbox<StreamItem> items;
-      std::deque<StoredBlock> blocks;
-      sim::Condition done;
-      bool finished = false;
-      std::optional<HopFailure> failure;
-      // Downstream gateway refused the message at its admission gate: the
-      // hop is healthy, so the relay backs off and replays instead of
-      // declaring it dead.
-      bool rejected = false;
-    };
-    // DRR buffer sizing: a weight-w flow drains w quanta per scheduler
-    // round, so both its queue bound and its mark point scale with the
-    // weight — otherwise a heavy flow's visits go underfilled and its
-    // surplus leaks to the light flows.
-    const std::size_t queue_capacity =
-        flow_sched_ != nullptr
-            ? static_cast<std::size_t>(
-                  static_cast<double>(vc_.options().flow.queue_limit) *
-                  std::max(1.0, flow_sched_->weight_of(flow)))
-            : 0;
-    auto state = std::make_shared<StreamState>(
-        engine_, queue_capacity,
-        vc_.name() + ".gwstream." + std::to_string(self_));
-
-    engine_.spawn(
-        vc_.name() + ".gwsend." + std::to_string(self_),
-        [self = shared_from_this(), state, &out_channel, next, last_hop,
-         out_hdr, flow, cls] {
-          MessageWriter out = self->open_outgoing(
-              out_channel, next, last_hop, out_hdr, std::nullopt);
-          {
-            ReliableSender snd(self->vc_, self->self_, out, out_channel,
-                               next, out_hdr.epoch);
-            snd.set_framing(Preamble{out_hdr.origin, 1}, out_hdr,
-                            std::nullopt);
-            std::uint32_t out_seq = 0;
-            bool failed = false;
-            for (bool running = true; running;) {
-              const StreamItem item = state->items.recv();
-              if (failed) {
-                // Keep draining after a HopFailure so a bounded (flow
-                // mode) item queue cannot wedge the listener; the stored
-                // copy replays via deliver_stored below. Drained
-                // fragments still leave the admission byte ledger —
-                // otherwise a failover would leak their queued bytes
-                // against the class budget forever.
-                if (item.kind == StreamItem::Kind::Fragment) {
-                  self->note_dequeue(cls, item.size, item.enq_at);
-                }
-                running = item.kind != StreamItem::Kind::End &&
-                          item.kind != StreamItem::Kind::Abort;
-                continue;
-              }
-              try {
-                switch (item.kind) {
-                  case StreamItem::Kind::Header: {
-                    const GtmBlockHeader& bh =
-                        state->blocks[item.block].header;
-                    snd.send_block_header(out_seq++, bh);
-                    if (self->rdma_block(out_channel, bh.size)) {
-                      self->rdma_rendezvous(out_channel, next, bh.size);
-                    }
-                    break;
-                  }
-                  case StreamItem::Kind::Fragment: {
-                    // Deficit-round-robin, actor side: bundle the
-                    // fragments already queued — up to this flow's
-                    // per-visit allowance (quantum x weight) — so one
-                    // grant moves a weight-proportional batch. The head
-                    // item always goes, even oversized.
-                    std::vector<StreamItem> bundle{item};
-                    std::uint64_t bundle_bytes = item.size;
-                    if (self->flow_sched_ != nullptr) {
-                      const std::uint64_t allowance =
-                          self->flow_sched_->allowance(flow);
-                      for (;;) {
-                        const StreamItem* head = state->items.peek();
-                        if (head == nullptr ||
-                            head->kind != StreamItem::Kind::Fragment ||
-                            bundle_bytes + head->size > allowance) {
-                          break;
-                        }
-                        bundle_bytes += head->size;
-                        bundle.push_back(*state->items.try_recv());
-                      }
-                    }
-                    // Leaving the item queue IS the dequeue the admission
-                    // ledger tracks — account before make_room, which can
-                    // throw (a HopFailure here must not leak the bundle's
-                    // bytes against the class budget).
-                    for (const StreamItem& b : bundle) {
-                      self->note_dequeue(cls, b.size, b.enq_at);
-                    }
-                    // Window drain outside the grant: only the bundle's
-                    // wire occupancy is scheduled, never an ack wait.
-                    snd.make_room(bundle.size());
-                    const sim::Time send_begin = self->engine_.now();
-                    {
-                      FlowGrant grant(self->flow_sched_.get(), flow,
-                                      bundle_bytes);
-                      // Occupancy clock starts when the grant is held,
-                      // not when we began waiting for it.
-                      const sim::Time granted_at = self->engine_.now();
-                      for (const StreamItem& b : bundle) {
-                        snd.send(
-                            out_seq++,
-                            util::ByteSpan(state->blocks[b.block].data)
-                                .subspan(b.offset, b.size),
-                            self->rdma_block(
-                                out_channel,
-                                state->blocks[b.block].header.size));
-                      }
-                      self->hold_for_wire(out_channel, bundle_bytes,
-                                          granted_at);
-                    }
-                    if (self->vc_.options().trace != nullptr) {
-                      self->vc_.options().trace->record(
-                          send_begin, self->engine_.now(), "gw.send",
-                          "bytes=" + std::to_string(bundle_bytes));
-                    }
-                    self->note_phase_us("send", send_begin,
-                                        self->engine_.now());
-                    break;
-                  }
-                  case StreamItem::Kind::End:
-                    snd.send_block_header(out_seq, end_marker());
-                    snd.flush();
-                    running = false;
-                    break;
-                  case StreamItem::Kind::Abort:
-                    running = false;
-                    break;
-                }
-              } catch (const HopFailure& f) {
-                state->failure = f;
-                failed = true;
-                running = item.kind != StreamItem::Kind::End &&
-                          item.kind != StreamItem::Kind::Abort;
-              } catch (const FlowRejected&) {
-                state->rejected = true;
-                failed = true;
-                running = item.kind != StreamItem::Kind::End &&
-                          item.kind != StreamItem::Kind::Abort;
-              }
-            }
-          }
-          out.end_packing();
-          state->finished = true;
-          state->done.notify_all();
-        });
-
-    std::optional<PeerDied> upstream_died;
-    {
-      ReliableReceiver rx(vc_, self_, in_channel_, from, hdr.epoch,
-                          /*detect_dead=*/true);
-      std::uint32_t seq = 0;
-      try {
-        for (;;) {
-          const GtmBlockHeader bh = rx.recv_block_header(in, seq++);
-          if (bh.end_of_message != 0) {
-            Connection& up = in_channel_.connection_to(from);
-            up.rx_epoch_done = std::max(up.rx_epoch_done, hdr.epoch);
-            vc_.spawn_tail_acker(in_channel_, from, hdr.epoch, seq - 1);
-            state->items.send(StreamItem{StreamItem::Kind::End, 0, 0, 0});
-            break;
-          }
-          StoredBlock block;
-          block.header = bh;
-          block.data.resize(bh.size);
-          state->blocks.push_back(std::move(block));
-          const std::size_t index = state->blocks.size() - 1;
-          state->items.send(
-              StreamItem{StreamItem::Kind::Header, index, 0, 0});
-          const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
-          for (std::uint64_t i = 0; i < fragments; ++i) {
-            const std::uint32_t size = fragment_size(bh.size, vc_.mtu(), i);
-            const std::uint64_t offset = i * vc_.mtu();
-            receive_reliable_fragment(
-                rx, in, seq++,
-                util::MutByteSpan(state->blocks[index].data)
-                    .subspan(offset, size));
-            state->items.send(StreamItem{StreamItem::Kind::Fragment, index,
-                                         offset, size, engine_.now()});
-            note_enqueue(cls, size);
-            if (flow_sched_ != nullptr) {
-              note_flow_depth(rx, static_cast<NodeRank>(hdr.origin), flow,
-                              state->items.size());
-            }
-          }
-        }
-      } catch (const PeerDied& dead) {
-        upstream_died = dead;
-        state->items.send(StreamItem{StreamItem::Kind::Abort, 0, 0, 0});
-      }
-    }
-    while (!state->finished) {
-      state->done.wait();
-    }
-    if (upstream_died) {
-      // Upstream died (or this gateway's own NIC crashed) mid-stream:
-      // abandon the partial relay — the origin replays on a surviving
-      // route, and downstream readers adopt the replayed stream.
-      throw *upstream_died;
-    }
-    if (state->rejected) {
-      // Downstream admission refusal: the hop is healthy, so back off and
-      // replay the stored copy (deliver_stored keeps retrying — and keeps
-      // backing off — until the downstream gateway admits it).
-      if (vc_.node_crashed(self_)) {
-        return;
-      }
-      sleep_reject_backoff(0);
-      deliver_stored(state->blocks, hdr, std::nullopt, dst, flow);
-    } else if (state->failure) {
-      if (vc_.node_crashed(self_)) {
-        return;
-      }
-      note_hop_death(*state->failure, dst);
-      deliver_stored(state->blocks, hdr, std::nullopt, dst, flow);
-    }
-  }
-
-  /// Holds the calling actor (and therefore its DRR grant) until the
-  /// paquet's egress-wire occupancy has elapsed since `send_begin`. The
-  /// simulator models wires per (src, dst) pair, but a real adapter
-  /// serializes its egress port — and that serialization is the shared
-  /// resource the flow scheduler arbitrates. Without it, concurrent flows
-  /// would each see a private full-rate wire and no queue could ever
-  /// build, making weights and marks dead code. The sender-side pack cost
-  /// already spent inside the grant counts toward the occupancy (DMA
-  /// streams into the NIC FIFO while the wire transmits). No-op outside
-  /// flow mode.
-  void hold_for_wire(Channel& out_channel, std::uint64_t bytes,
-                     sim::Time send_begin) {
-    if (flow_sched_ == nullptr) {
-      return;
-    }
-    const sim::Time occupancy = sim::transfer_time(
-        bytes, out_channel.network().model().wire_bandwidth);
-    const sim::Time elapsed = engine_.now() - send_begin;
-    if (elapsed < occupancy) {
-      engine_.sleep_for(occupancy - elapsed);
-    }
+    engine_.sleep_for(delay);
   }
 
   /// Flow-mode queue accounting for one just-enqueued relay paquet: depth
@@ -832,233 +903,6 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
             "flow.mark", "origin=" + std::to_string(origin) +
                              " depth=" + std::to_string(depth));
       }
-    }
-  }
-
-  MessageWriter open_outgoing(Channel& out_channel, NodeRank next,
-                              bool last_hop, const GtmMsgHeader& hdr,
-                              const std::optional<GtmStripeHeader>& stripe) {
-    MessageWriter out = out_channel.begin_packing(next);
-    // Every hop message starts with the preamble paquet — the fixed,
-    // smaller-than-any-reliable-paquet message opener that lets the next
-    // receiver drop stale retransmits at the boundary by size.
-    write_preamble(out, Preamble{hdr.origin, 1});
-    write_msg_header(out, hdr);
-    if (stripe) {
-      write_stripe_header(out, *stripe);
-    }
-    return out;
-  }
-
-  /// True when this relay's egress over `out_channel` may use one-sided
-  /// writes: rdma is on and the out TM keeps dynamic buffers (a static or
-  /// hybrid TM routes received paquets through protocol buffers the remote
-  /// write model cannot target).
-  bool rdma_eligible(Channel& out_channel) const {
-    const net::NicModelParams& m = out_channel.tm().model();
-    return vc_.options().rdma.enabled && !m.tx_static() && !m.hybrid();
-  }
-
-  /// One-sided block cut: eligible egress and block at/above the
-  /// rendezvous threshold (smaller blocks stay eager/two-sided).
-  bool rdma_block(Channel& out_channel, std::uint64_t block_size) const {
-    return rdma_eligible(out_channel) &&
-           block_size >= vc_.options().rdma.rendezvous_threshold;
-  }
-
-  /// Runs the rendezvous handshake with the next hop for one qualifying
-  /// block: the remote side registers (or cache-hits) the receive region
-  /// behind this connection's tag before any write lands.
-  void rdma_rendezvous(Channel& out_channel, NodeRank next,
-                       std::uint64_t block_size) {
-    const Connection& conn = out_channel.connection_to(next);
-    RdmaTm* local = vc_.rdma_tm(out_channel.tm().nic());
-    RdmaTm* remote = vc_.rdma_tm(
-        out_channel.tm().nic().network().nic(conn.peer_nic_index));
-    local->rendezvous(*remote, conn.tx_tag, block_size);
-  }
-
-  /// Receives the next paquet of `size` bytes, choosing the §2.3 zero-copy
-  /// path from the static/dynamic buffer modes of both sides.
-  RelayItem receive_fragment(MessageReader& in, Channel& out_channel,
-                             std::uint32_t size) {
-    TransmissionModule& in_tm = in_channel_.tm();
-    TransmissionModule& out_tm = out_channel.tm();
-    const bool in_static = in_tm.model().rx_static();
-    const bool out_static = out_tm.model().tx_static();
-    const bool zero_copy = vc_.options().zero_copy;
-
-    regulator_.pace(size);
-    const sim::Time begin = engine_.now();
-    RelayItem item;
-    if (in_static && zero_copy) {
-      // Consume the paquet's protocol buffer directly (the GTM discipline
-      // guarantees one express paquet == one static buffer).
-      const std::uint64_t rx_tag =
-          in_channel_.connection_to(in.source()).rx_tag;
-      auto in_ref = in_tm.recv_packet_static(rx_tag);
-      MAD_ASSERT(in_ref.used() == size, "paquet/static-buffer size mismatch");
-      if (out_static) {
-        // static → static: the one unavoidable copy (paper §2.3).
-        auto out_ref = out_tm.acquire_static_buffer();
-        counted_copy(out_ref.span().first(size), in_ref.data(),
-                     CopyPath::ZeroCopy);
-        out_ref.set_used(size);
-        item.kind = RelayItem::Kind::FragmentStaticOut;
-        item.static_out = std::move(out_ref);
-      } else {
-        // static → dynamic: send straight from the incoming buffer.
-        item.kind = RelayItem::Kind::FragmentHoldIn;
-        item.hold_in = std::move(in_ref);
-      }
-    } else if (out_static && zero_copy) {
-      // dynamic → static: "ask the outgoing TM for a static buffer which
-      // we use to receive data into" (paper §2.3).
-      auto out_ref = out_tm.acquire_static_buffer();
-      in.unpack(out_ref.span().first(size), SendMode::Cheaper,
-                RecvMode::Express);
-      out_ref.set_used(size);
-      item.kind = RelayItem::Kind::FragmentStaticOut;
-      item.static_out = std::move(out_ref);
-    } else {
-      // dynamic → dynamic (or zero-copy disabled): a recycled pipeline
-      // buffer. Still copy-free for dynamic protocols — the NIC scatters
-      // into and gathers out of this buffer directly.
-      std::vector<std::byte> buffer = free_buffers_.recv();
-      in.unpack(util::MutByteSpan(buffer).first(size), SendMode::Cheaper,
-                RecvMode::Express);
-      item.kind = RelayItem::Kind::FragmentDynamic;
-      item.buffer = std::move(buffer);
-      item.size = size;
-    }
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(begin, engine_.now(), "gw.recv",
-                                  "bytes=" + std::to_string(size));
-    }
-    note_phase_us("recv", begin, engine_.now());
-    GatewayStats& stats = vc_.mutable_gateway_stats(self_);
-    ++stats.paquets_forwarded;
-    stats.bytes_forwarded += size;
-    // The software cost of handing the buffer to the sender thread
-    // (measured ≈40 µs per switch on the paper's testbed, §3.3.1).
-    const sim::Time switch_begin = engine_.now();
-    engine_.sleep_for(vc_.options().gateway_sw_overhead);
-    if (vc_.options().trace != nullptr) {
-      vc_.options().trace->record(switch_begin, engine_.now(), "gw.switch");
-    }
-    note_phase_us("switch", switch_begin, engine_.now());
-    return item;
-  }
-
-  void recycle(std::vector<std::byte> buffer) {
-    if (!buffer.empty()) {
-      MAD_ASSERT(buffer.size() == vc_.mtu(), "foreign buffer in gw pool");
-      free_buffers_.send(std::move(buffer));
-    }
-  }
-
-  void relay_sequential(MessageReader& in, const GtmMsgHeader& hdr,
-                        const std::optional<GtmStripeHeader>& stripe,
-                        Channel& out_channel, NodeRank next, bool last_hop) {
-    MessageWriter out = open_outgoing(out_channel, next, last_hop, hdr,
-                                      stripe);
-    const Connection& conn = out_channel.connection_to(next);
-    for (;;) {
-      const GtmBlockHeader bh = read_block_header(in);
-      if (bh.end_of_message != 0) {
-        write_block_header(out, end_marker());
-        break;
-      }
-      const bool one_sided = rdma_block(out_channel, bh.size);
-      if (one_sided) {
-        rdma_rendezvous(out_channel, next, bh.size);
-      }
-      write_block_header(out, bh);
-      const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
-      for (std::uint64_t i = 0; i < fragments; ++i) {
-        const std::uint32_t size = fragment_size(bh.size, vc_.mtu(), i);
-        RelayItem item = receive_fragment(in, out_channel, size);
-        item.one_sided = one_sided;
-        item.completion = one_sided && i + 1 == fragments;
-        const sim::Time send_begin = engine_.now();
-        recycle(send_relay_item(out, out_channel.tm(), conn, std::move(item),
-                                vc_));
-        note_phase_us("send", send_begin, engine_.now());
-      }
-    }
-    out.end_packing();
-  }
-
-  void relay_pipelined(MessageReader& in, const GtmMsgHeader& hdr,
-                       const std::optional<GtmStripeHeader>& stripe,
-                       Channel& out_channel, NodeRank next, bool last_hop) {
-    const int depth = vc_.options().pipeline_depth;
-    // Shared with the sender actor, heap-owned: during engine shutdown the
-    // listener may unwind (and its stack frame be reused) while the sender
-    // is still parked inside items.recv(); stack-allocating this state was
-    // a use-after-free (see the regression in tests/fwd/test_failures.cpp).
-    struct PipeState {
-      PipeState(sim::Engine& engine, std::size_t capacity,
-                const std::string& name)
-          : items(engine, capacity, name),
-            sender_done(engine, name + ".done") {}
-      sim::Mailbox<RelayItem> items;
-      sim::Condition sender_done;
-      bool finished = false;
-    };
-    auto state = std::make_shared<PipeState>(
-        engine_, static_cast<std::size_t>(depth - 1),
-        vc_.name() + ".gwitems." + std::to_string(self_));
-
-    engine_.spawn(
-        vc_.name() + ".gwsend." + std::to_string(self_),
-        [self = shared_from_this(), state, &out_channel, next, last_hop,
-         hdr, stripe] {
-          MessageWriter out =
-              self->open_outgoing(out_channel, next, last_hop, hdr, stripe);
-          const Connection& conn = out_channel.connection_to(next);
-          for (;;) {
-            RelayItem item = state->items.recv();
-            if (item.kind == RelayItem::Kind::End) {
-              write_block_header(out, end_marker());
-              break;
-            }
-            const bool fragment =
-                item.kind != RelayItem::Kind::BlockHeader;
-            const sim::Time send_begin = self->engine_.now();
-            self->recycle(send_relay_item(out, out_channel.tm(), conn,
-                                          std::move(item), self->vc_));
-            if (fragment) {
-              self->note_phase_us("send", send_begin, self->engine_.now());
-            }
-          }
-          out.end_packing();
-          state->finished = true;
-          state->sender_done.notify_all();
-        });
-
-    for (;;) {
-      const GtmBlockHeader bh = read_block_header(in);
-      if (bh.end_of_message != 0) {
-        state->items.send(RelayItem::end());
-        break;
-      }
-      const bool one_sided = rdma_block(out_channel, bh.size);
-      // The BlockHeader item carries the flag: the SENDER actor runs the
-      // rendezvous (send_relay_item), so the handshake overlaps the
-      // listener's next receive exactly like any other egress cost.
-      state->items.send(RelayItem::block(bh, one_sided));
-      const std::uint64_t fragments = fragment_count(bh.size, vc_.mtu());
-      for (std::uint64_t i = 0; i < fragments; ++i) {
-        const std::uint32_t size = fragment_size(bh.size, vc_.mtu(), i);
-        RelayItem item = receive_fragment(in, out_channel, size);
-        item.one_sided = one_sided;
-        item.completion = one_sided && i + 1 == fragments;
-        state->items.send(std::move(item));
-      }
-    }
-    while (!state->finished) {
-      state->sender_done.wait();
     }
   }
 
@@ -1104,10 +948,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
            ",class=" + std::string(traffic_class_name(cls));
   }
 
-  /// Admission byte accounting, enqueue side (streaming relay only: the
-  /// store-and-forward path never builds a standing egress queue, so it is
-  /// governed by the message budgets alone).
-  void note_enqueue(TrafficClass cls, std::uint32_t size) {
+  /// Admission byte accounting, enqueue side (cut-through queue only).
+  void note_enqueue(TrafficClass cls, std::size_t size) {
     if (admission_ == nullptr) {
       return;
     }
@@ -1119,8 +961,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
 
   /// Admission byte accounting, dequeue side: feeds the CoDel-style
   /// sojourn tracker and the per-class sojourn histogram.
-  void note_dequeue(TrafficClass cls, std::uint32_t size,
-                    sim::Time enq_at) {
+  void note_dequeue(TrafficClass cls, std::size_t size, sim::Time enq_at) {
     if (admission_ == nullptr) {
       return;
     }
@@ -1180,72 +1021,39 @@ void spawn_gateway_actors(VirtualChannel& vc) {
               sim::Engine& engine = vc.domain().engine();
               for (;;) {
                 relay->in_channel().wait_incoming();
-                if (relay->flow_mode() &&
-                    relay->in_channel().uses_announce()) {
-                  // Multi-flow dispatch: accept the message, hand it to a
-                  // relay actor of its own, and go straight back to
-                  // accepting — concurrent origins relay (and compete for
-                  // egress via DRR) instead of serializing behind one
-                  // store-and-forward. Messages sharing an upstream hop
-                  // still read that hop's rx stream in arrival order via
-                  // turn tickets. MessageReader is move-only and
-                  // Engine::spawn needs a copyable closure, so the reader
-                  // rides in a shared_ptr.
-                  //
-                  // Announce channels only: begin_unpacking consumes the
-                  // announce packet, so the next wait_incoming blocks
-                  // until a NEW message arrives. A two-member channel has
-                  // no announce stream — its peek would see the pending
-                  // message's paquets until the spawned actor drains
-                  // them, and this loop would spin spawning an actor per
-                  // peek. It also has exactly one upstream, whose
-                  // messages serialize on the rx stream anyway, so the
-                  // inline path below loses no concurrency there (egress
-                  // still goes through the DRR scheduler by origin).
-                  MessageReader in = relay->in_channel().begin_unpacking();
-                  const NodeRank from = in.source();
-                  const std::uint64_t ticket = relay->issue_ticket(from);
-                  auto reader =
-                      std::make_shared<MessageReader>(std::move(in));
-                  engine.spawn(
-                      actor_name + ".msg",
-                      [&vc, relay, reader, from, ticket, rank] {
-                        relay->await_turn(from, ticket);
-                        try {
-                          std::optional<GtmMsgHeader> header;
-                          const Preamble preamble = vc.read_stream_head(
-                              *reader, relay->in_channel(), rank, header);
-                          MAD_ASSERT(preamble.forwarded != 0,
-                                     "native message on a special channel");
-                          relay->relay_message(std::move(*reader), header);
-                        } catch (const PeerDied&) {
-                          // Upstream (or this gateway) died mid-stream;
-                          // the origin replays on a surviving route.
-                        }
-                        relay->finish_turn(from);
-                      });
+                MessageReader in = relay->in_channel().begin_unpacking();
+                if (!relay->flow_mode() ||
+                    !relay->in_channel().uses_announce()) {
+                  relay->relay_stream(in);
                   continue;
                 }
-                try {
-                  MessageReader in = relay->in_channel().begin_unpacking();
-                  Preamble preamble{};
-                  std::optional<GtmMsgHeader> header;
-                  if (vc.reliable()) {
-                    // Boundary parse: skips late retransmits and ghost
-                    // framing of streams this relay already completed.
-                    preamble = vc.read_stream_head(in, relay->in_channel(),
-                                                   rank, header);
-                  } else {
-                    preamble = read_preamble(in);
-                  }
-                  MAD_ASSERT(preamble.forwarded != 0,
-                             "native message on a special channel");
-                  relay->relay_message(std::move(in), header);
-                } catch (const PeerDied&) {
-                  // A cut-through relay abandoned a stream whose upstream
-                  // (or this gateway itself) died mid-message. The origin
-                  // replays on a surviving route; keep listening.
-                }
+                // Multi-flow dispatch: hand the accepted message to a relay
+                // actor of its own and go straight back to accepting —
+                // concurrent origins relay (and compete for egress via
+                // DRR) instead of serializing behind one store-and-forward.
+                // Messages sharing an upstream hop still read that hop's rx
+                // stream in arrival order via turn tickets. MessageReader
+                // is move-only and Engine::spawn needs a copyable closure,
+                // so the reader rides in a shared_ptr.
+                //
+                // Announce channels only: begin_unpacking consumes the
+                // announce packet, so the next wait_incoming blocks until a
+                // NEW message arrives. A two-member channel has no announce
+                // stream — its peek would see the pending message's paquets
+                // until the spawned actor drains them, and this loop would
+                // spin spawning an actor per peek. It also has exactly one
+                // upstream, whose messages serialize on the rx stream
+                // anyway, so relaying inline there loses no concurrency
+                // (egress still goes through the DRR scheduler by origin).
+                const NodeRank from = in.source();
+                const std::uint64_t ticket = relay->issue_ticket(from);
+                auto reader = std::make_shared<MessageReader>(std::move(in));
+                engine.spawn(actor_name + ".msg",
+                             [relay, reader, from, ticket] {
+                               relay->await_turn(from, ticket);
+                               relay->relay_stream(*reader);
+                               relay->finish_turn(from);
+                             });
               }
             },
             /*daemon=*/true);

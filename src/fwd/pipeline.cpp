@@ -7,35 +7,32 @@
 
 namespace mad::fwd {
 
+void rdma_rendezvous(const VirtualChannel& vc, TransmissionModule& out_tm,
+                     const Connection& out_conn, std::uint64_t size) {
+  RdmaTm* local = vc.rdma_tm(out_tm.nic());
+  RdmaTm* remote =
+      vc.rdma_tm(out_tm.nic().network().nic(out_conn.peer_nic_index));
+  local->rendezvous(*remote, out_conn.tx_tag, size);
+}
+
 std::vector<std::byte> send_relay_item(MessageWriter& out_msg,
                                        TransmissionModule& out_tm,
                                        const Connection& out_conn,
                                        RelayItem item,
                                        const VirtualChannel& vc) {
-  sim::Trace* trace = vc.options().trace;
-  const sim::Engine& engine = vc.domain().engine();
   // One-sided egress: fragments bypass the writer and go out as RDMA-style
   // writes into the next hop's registered region. Wire-compatible with the
   // two-sided path — same NIC, same tag, same FIFO order, one packet per
   // fragment — so the receiving GTM parses the stream unchanged.
-  RdmaTm* rdma =
-      item.one_sided && item.kind != RelayItem::Kind::BlockHeader
-          ? vc.rdma_tm(out_tm.nic())
-          : nullptr;
+  RdmaTm* rdma = item.one_sided ? vc.rdma_tm(out_tm.nic()) : nullptr;
   switch (item.kind) {
     case RelayItem::Kind::BlockHeader:
-      if (item.one_sided) {
-        // Handshake first: the next hop registers (or cache-hits) the
-        // receive region behind our tx tag before any write lands.
-        RdmaTm* local = vc.rdma_tm(out_tm.nic());
-        RdmaTm* remote = vc.rdma_tm(
-            out_tm.nic().network().nic(out_conn.peer_nic_index));
-        local->rendezvous(*remote, out_conn.tx_tag, item.header.size);
+      if (rdma != nullptr) {
+        rdma_rendezvous(vc, out_tm, out_conn, item.header.size);
       }
       write_block_header(out_msg, item.header);
       return {};
-    case RelayItem::Kind::FragmentDynamic: {
-      const sim::Time begin = engine.now();
+    case RelayItem::Kind::FragmentDynamic:
       if (rdma != nullptr) {
         rdma->write(out_conn.peer_nic_index, out_conn.tx_tag,
                     util::ByteSpan(item.buffer).first(item.size),
@@ -44,29 +41,17 @@ std::vector<std::byte> send_relay_item(MessageWriter& out_msg,
         out_msg.pack(util::ByteSpan(item.buffer).first(item.size),
                      SendMode::Cheaper, RecvMode::Express);
       }
-      if (trace != nullptr) {
-        trace->record(begin, engine.now(), "gw.send",
-                      "bytes=" + std::to_string(item.size));
-      }
       return std::move(item.buffer);  // recycle
-    }
-    case RelayItem::Kind::FragmentStaticOut: {
+    case RelayItem::Kind::FragmentStaticOut:
       MAD_ASSERT(!item.one_sided,
                  "one-sided egress requires a dynamic-buffer out TM");
-      const sim::Time begin = engine.now();
       // Zero-copy: the paquet was received straight into this outgoing
       // static buffer; hand it to the TM, bypassing the BMM copy-in.
       out_tm.send_static_buffer(out_conn.peer_nic_index, out_conn.tx_tag,
                                 item.static_out);
-      if (trace != nullptr) {
-        trace->record(begin, engine.now(), "gw.send",
-                      "bytes=" + std::to_string(item.static_out.used()));
-      }
       item.static_out.release();
       return {};
-    }
-    case RelayItem::Kind::FragmentHoldIn: {
-      const sim::Time begin = engine.now();
+    case RelayItem::Kind::FragmentHoldIn:
       // Zero-copy: send directly from the incoming protocol buffer.
       if (rdma != nullptr) {
         rdma->write(out_conn.peer_nic_index, out_conn.tx_tag,
@@ -75,17 +60,11 @@ std::vector<std::byte> send_relay_item(MessageWriter& out_msg,
         out_msg.pack(item.hold_in.data(), SendMode::Cheaper,
                      RecvMode::Express);
       }
-      if (trace != nullptr) {
-        trace->record(begin, engine.now(), "gw.send",
-                      "bytes=" + std::to_string(item.hold_in.used()));
-      }
       item.hold_in.release();
       return {};
-    }
-    case RelayItem::Kind::End:
-      MAD_PANIC("End items are finished by the caller");
+    default:
+      MAD_PANIC("not a plain relay item");
   }
-  MAD_PANIC("unreachable RelayItem kind");
 }
 
 }  // namespace mad::fwd

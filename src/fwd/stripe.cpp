@@ -339,40 +339,16 @@ void Striper::run_rail(std::size_t index) {
       failed = *failure;
     }
     for (;;) {
-      ReliabilityStats& stats =
-          vc_.mutable_gateway_stats(src_).reliability;
-      const std::string node_label = "node=" + std::to_string(src_);
-      if (failed) {
-        vc_.mark_dead(failed->next_hop);
-        ++stats.peers_declared_dead;
-        metrics.add("rel.dead_peers", node_label);
-        if (vc_.options().trace != nullptr) {
-          vc_.options().trace->instant_here(
-              "rel.dead", "peer=" + std::to_string(failed->next_hop));
-        }
-      }
       // The failed window dies with its sender; Express flushing left
       // nothing buffered, so closing the dead-hop message is non-blocking
       // and releases the connection's tx lock.
       sender.reset();
       writer->end_packing();
       writer.reset();
-      if (!vc_.routing().reachable(src_, dst_)) {
-        const std::string why =
-            failed ? "gateway " + std::to_string(failed->next_hop) +
-                         " declared dead after " +
-                         std::to_string(failed->attempts) + " attempts"
-                   : "its route was invalidated under it";
-        MAD_PANIC("node " + std::to_string(dst_) + " unreachable from " +
-                  std::to_string(src_) + " on rail " +
-                  std::to_string(index) + ": " + why +
-                  " and no alternate route exists");
-      }
-      if (failed) {
-        ++stats.failovers;
-        metrics.add("rel.failovers", node_label);
-      } else {
-        metrics.add("health.reroutes", node_label);
+      vc_.fail_over(src_, dst_, failed ? &*failed : nullptr,
+                    " on rail " + std::to_string(index));
+      if (!failed) {
+        metrics.add("health.reroutes", "node=" + std::to_string(src_));
         if (vc_.options().trace != nullptr) {
           vc_.options().trace->instant_here(
               "health.reroute", "rail=" + std::to_string(index) +

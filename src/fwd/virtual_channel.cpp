@@ -15,6 +15,19 @@
 
 namespace mad::fwd {
 
+sim::Time reject_backoff_delay(const FlowOptions& flow, int attempts,
+                               std::uint64_t jitter_seed) {
+  double delay = static_cast<double>(flow.reject_backoff);
+  const double cap = static_cast<double>(flow.reject_backoff_cap);
+  for (int i = 0; i < attempts && delay < cap; ++i) {
+    delay *= flow.reject_backoff_factor;
+  }
+  delay = std::min(delay, cap);
+  util::Rng jitter(jitter_seed);
+  delay += delay * 0.25 * jitter.next_double();
+  return static_cast<sim::Time>(delay);
+}
+
 void FlowOptions::validate(bool reliable_enabled) const {
   if (!enabled) {
     return;
@@ -330,6 +343,42 @@ void VirtualChannel::spawn_tail_acker(Channel& channel, NodeRank peer,
         }
       },
       /*daemon=*/true);
+}
+
+void VirtualChannel::fail_over(NodeRank self, NodeRank dst,
+                               const HopFailure* failed,
+                               const std::string& where) {
+  ReliabilityStats& stats = mutable_gateway_stats(self).reliability;
+  sim::MetricsRegistry& metrics = domain_.fabric().metrics();
+  const std::string node_label = "node=" + std::to_string(self);
+  if (failed != nullptr) {
+    mark_dead(failed->next_hop);
+    ++stats.peers_declared_dead;
+    metrics.add("rel.dead_peers", node_label);
+    if (options_.trace != nullptr) {
+      options_.trace->instant_here(
+          "rel.dead", "peer=" + std::to_string(failed->next_hop));
+    }
+  }
+  if (!routing_->reachable(self, dst)) {
+    const std::string why =
+        failed != nullptr ? "gateway " + std::to_string(failed->next_hop) +
+                                " declared dead after " +
+                                std::to_string(failed->attempts) + " attempts"
+                          : "no route survives the failed nodes";
+    MAD_PANIC("node " + std::to_string(dst) + " unreachable from " +
+              std::to_string(self) + where + ": " + why +
+              " and no alternate route exists");
+  }
+  if (failed != nullptr) {
+    ++stats.failovers;
+    metrics.add("rel.failovers", node_label);
+    if (options_.trace != nullptr) {
+      options_.trace->instant_here(
+          "rel.failover", "dst=" + std::to_string(dst) + " around=" +
+                              std::to_string(failed->next_hop));
+    }
+  }
 }
 
 void VirtualChannel::mark_dead(NodeRank rank) {
@@ -877,19 +926,6 @@ void VcMessageWriter::recover(const HopFailure* failure, bool rejected,
     failed = *failure;
   }
   for (;;) {
-    ReliabilityStats& stats =
-        vc_->mutable_gateway_stats(src_).reliability;
-    sim::MetricsRegistry& metrics = vc_->domain().fabric().metrics();
-    const std::string node_label = "node=" + std::to_string(src_);
-    if (failed) {
-      vc_->mark_dead(failed->next_hop);
-      ++stats.peers_declared_dead;
-      metrics.add("rel.dead_peers", node_label);
-      if (vc_->options().trace != nullptr) {
-        vc_->options().trace->instant_here(
-            "rel.dead", "peer=" + std::to_string(failed->next_hop));
-      }
-    }
     // Drop the window first — its in-flight paquets die with the hop and
     // must not outlive the MessageWriter they reference. Express flushing
     // leaves nothing buffered, so closing the dead-hop message is
@@ -897,43 +933,20 @@ void VcMessageWriter::recover(const HopFailure* failure, bool rejected,
     sender_.reset();
     inner_->end_packing();
     inner_.reset();
-    if (!vc_->routing().reachable(src_, dst_)) {
-      const std::string why =
-          failed ? "gateway " + std::to_string(failed->next_hop) +
-                       " declared dead after " +
-                       std::to_string(failed->attempts) + " attempts"
-                 : "its route was invalidated under it";
-      MAD_PANIC("node " + std::to_string(dst_) + " unreachable from " +
-                std::to_string(src_) + ": " + why +
-                " and no alternate route exists");
-    }
-    if (failed) {
-      ++stats.failovers;
-      metrics.add("rel.failovers", node_label);
-      if (vc_->options().trace != nullptr) {
-        vc_->options().trace->instant_here(
-            "rel.failover", "dst=" + std::to_string(dst_) + " around=" +
-                                std::to_string(failed->next_hop));
-      }
-    } else if (rejected) {
+    vc_->fail_over(src_, dst_, failed ? &*failed : nullptr);
+    sim::MetricsRegistry& metrics = vc_->domain().fabric().metrics();
+    const std::string node_label = "node=" + std::to_string(src_);
+    if (!failed && rejected) {
       // Admission rejection: the hop is healthy, the gateway is
       // overloaded. Nothing is condemned — back off (exponentially in the
-      // consecutive-reject count, with deterministic jitter so lockstep
+      // consecutive-reject count, jittered per (src, dst) so lockstep
       // rejectees desynchronize) and replay on a fresh epoch. The tx lock
       // was released above, so the sleep blocks no other writer.
-      const FlowOptions& flow = vc_->options().flow;
-      double delay = static_cast<double>(flow.reject_backoff);
-      for (int i = 0; i < reject_attempts_ &&
-                      delay < static_cast<double>(flow.reject_backoff_cap);
-           ++i) {
-        delay *= flow.reject_backoff_factor;
-      }
-      delay = std::min(delay, static_cast<double>(flow.reject_backoff_cap));
-      util::Rng jitter(
+      const sim::Time delay = reject_backoff_delay(
+          vc_->options().flow, reject_attempts_,
           (static_cast<std::uint64_t>(src_) << 40) ^
-          (static_cast<std::uint64_t>(dst_) << 20) ^
-          static_cast<std::uint64_t>(reject_attempts_));
-      delay += delay * 0.25 * jitter.next_double();
+              (static_cast<std::uint64_t>(dst_) << 20) ^
+              static_cast<std::uint64_t>(reject_attempts_));
       ++reject_attempts_;
       metrics.add("flow.reject_retries", node_label);
       if (vc_->options().trace != nullptr) {
@@ -941,8 +954,8 @@ void VcMessageWriter::recover(const HopFailure* failure, bool rejected,
             "flow.rejected", "dst=" + std::to_string(dst_) + " attempt=" +
                                  std::to_string(reject_attempts_));
       }
-      vc_->domain().engine().sleep_for(static_cast<sim::Time>(delay));
-    } else {
+      vc_->domain().engine().sleep_for(delay);
+    } else if (!failed) {
       metrics.add("health.reroutes", node_label);
       if (vc_->options().trace != nullptr) {
         vc_->options().trace->instant_here(

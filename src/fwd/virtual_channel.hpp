@@ -93,6 +93,14 @@ struct FlowOptions {
   void validate(bool reliable_enabled) const;
 };
 
+/// Backoff before replaying a message an admission gate refused
+/// `attempts` times in a row — reject_backoff x factor^attempts, capped at
+/// reject_backoff_cap — plus up to 25% deterministic jitter drawn from the
+/// caller's `jitter_seed`, so synchronized rejectees retry out of step.
+/// Shared by the origin writer and gateway relays.
+sim::Time reject_backoff_delay(const FlowOptions& flow, int attempts,
+                               std::uint64_t jitter_seed);
+
 struct VcOptions {
   /// Paquet (fragment) size used by the GTM; 0 = auto (largest size every
   /// network on the virtual channel carries unfragmented). The Fig 6/7
@@ -273,6 +281,18 @@ class VirtualChannel {
   /// its streams instead of declaring the peer gone.
   void mark_dead(NodeRank rank);
   bool is_dead(NodeRank rank) const;
+
+  /// Hop failover for a reliable stream from `self` toward `dst` — the one
+  /// routine the origin writer, the striper's repair rails and gateway
+  /// relays share. With `failed` set, its next hop is declared dead first
+  /// (mark_dead, the dead-peer counter and metric, a trace instant). Then
+  /// panics with the "unreachable" diagnosis unless a route to `dst`
+  /// survives (`where` further names the stream), and with `failed` set
+  /// counts the failover (ReliabilityStats::failovers, its metric, a trace
+  /// instant). Without `failed` only the reachability check runs: a stream
+  /// about to reopen its hop after a reroute or an admission reject.
+  void fail_over(NodeRank self, NodeRank dst, const HopFailure* failed,
+                 const std::string& where = {});
 
   /// Health monitor driving adaptive routing; nullptr unless
   /// options().health.enabled.

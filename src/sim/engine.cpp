@@ -29,15 +29,15 @@ Engine::~Engine() {
   {
     std::unique_lock lock(mutex_);
     stopping_ = true;
-    for (auto& a : actors_) {
-      if (!a->started && a->status != Status::Finished) {
-        // Thread is parked waiting for its first dispatch; releasing it with
-        // stopping_ set makes the trampoline skip the body entirely.
-        a->gate.open();
-      }
-    }
   }
+  // One actor at a time: a never-dispatched thread destroys its closure
+  // on release, and two closures must not be destroyed concurrently.
   for (auto& a : actors_) {
+    if (!a->started && a->status != Status::Finished) {
+      // Thread is parked waiting for its first dispatch; releasing it with
+      // stopping_ set makes the trampoline skip the body entirely.
+      a->gate.open();
+    }
     if (a->thread.joinable()) {
       a->thread.join();
     }
@@ -68,6 +68,7 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
     if (stopping_ && !a->started) {
       // Shutdown (or engine tear-down) before the actor ever ran: skip
       // the body and hand control onward like any finishing actor.
+      a->body = nullptr;
       std::unique_lock tl(mutex_);
       ActorState* next = finish_locked(*a, nullptr);
       tl.unlock();
@@ -85,6 +86,11 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
     } catch (...) {
       error = std::current_exception();
     }
+    // Destroy the closure now, while this actor still holds the run token
+    // and outside the engine mutex: its captures may reference channels
+    // and readers that the simulation's owner destroys right after run()
+    // returns, before ~Engine would otherwise get to them.
+    a->body = nullptr;
     std::unique_lock tl(mutex_);
     ActorState* next = finish_locked(*a, error);
     tl.unlock();

@@ -1,6 +1,9 @@
 // Buffer-management behaviour: copy accounting and packet shaping.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "support/mad_rig.hpp"
 #include "util/rng.hpp"
 
@@ -167,9 +170,11 @@ TEST(BmmShape, StaticBuffersBoundPacketSize) {
 }
 
 // Property test: random block shapes and flag pairs survive a round trip on
-// every protocol.
+// every protocol. The protocol is a std::string, not a const char*, so the
+// printed parameter (and with it the registered test name) carries the
+// protocol's text rather than a per-run string address.
 class BmmProperty
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, BmmProperty,

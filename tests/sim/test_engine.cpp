@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/condition.hpp"
@@ -225,6 +227,29 @@ TEST(Engine, CurrentActorNameVisibleInside) {
   });
   eng.run();
   EXPECT_EQ(eng.current_actor_name(), "<none>");
+}
+
+TEST(Engine, AbortDestroysNeverRunClosuresBeforeRunRethrows) {
+  // The closure of an actor skipped at shutdown must not outlive run():
+  // its captures may point into objects destroyed before the engine.
+  Engine eng;
+  auto capture = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = capture;
+  eng.spawn("boom", [] { throw std::runtime_error("abort"); });
+  eng.spawn("never", [capture] { FAIL() << "ran after the abort"; });
+  capture.reset();
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_TRUE(watch.expired()) << "closure captures survive until ~Engine";
+}
+
+TEST(Engine, FinishedActorReleasesItsClosure) {
+  Engine eng;
+  auto capture = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = capture;
+  eng.spawn("a", [capture] { EXPECT_EQ(*capture, 7); });
+  capture.reset();
+  eng.run();
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(Engine, DestructionWithoutRunIsClean) {
