@@ -2,7 +2,12 @@
 // relay, the reliable store-and-forward and cut-through relays, the
 // striped relay, a downstream gateway crash mid-message (cut-through,
 // then replay of the stored copy on a failover route) and a downstream
-// gateway's admission reject in a two-gateway chain.
+// gateway's admission reject in a two-gateway chain; and the sender side
+// (the Origin cases): a plain striped transfer, the origin's first gateway
+// crashing mid-message, a striped rail repairing around a crashed gateway,
+// a writer rerouting before its first block because another writer already
+// declared its next hop dead, and a writer refused at its first gateway's
+// admission gate.
 //
 // Each case delivers byte-exact and pins the exact virtual delivery time
 // and every node's GatewayStats. The simulation is deterministic, so a
@@ -247,6 +252,105 @@ Outcome downstream_reject(int window) {
   return outcome_of(*rig.vc, 7, times);
 }
 
+// ------------------------------------------------------------ sender side
+// The paths where the origin (writer or stripe rail) opens, feeds and
+// reopens a forwarded stream: plain striping, a crash of the origin's own
+// first gateway, a rail repair, a proactive reroute, and a writer refused
+// at its first gateway's admission gate.
+
+Outcome plain_striped() {
+  VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.max_rails = 2;
+  DisjointRailRig rig(options);
+  const auto times = run_transfers(
+      rig.engine, [&rig](NodeRank r) -> VcEndpoint& { return rig.ep(r); },
+      {{0, 3, 1 << 20}});
+  return outcome_of(*rig.vc, 4, times);
+}
+
+/// Crashes gw1 (both NICs) of a DisjointRailRig at `crash_at`.
+void crash_gw1(DisjointRailRig& rig, sim::Time crash_at) {
+  net::FaultPlan myri_plan;
+  myri_plan.crashes.push_back({/*nic_index=*/1, crash_at});  // gw1 on myri0
+  rig.myri_a.set_fault_plan(myri_plan);
+  net::FaultPlan sci_plan;
+  sci_plan.crashes.push_back({/*nic_index=*/0, crash_at});  // gw1 on sci0
+  rig.sci.set_fault_plan(sci_plan);
+}
+
+/// The origin's single route m0 -> gw1 -> s0 loses gw1 mid-message: the
+/// writer declares it dead and replays via gw2.
+Outcome origin_gateway_crash(int window) {
+  DisjointRailRig rig(reliable_options(window));
+  crash_gw1(rig, sim::milliseconds(8));
+  const auto times = run_transfers(
+      rig.engine, [&rig](NodeRank r) -> VcEndpoint& { return rig.ep(r); },
+      {{0, 3, 1 << 20}});
+  EXPECT_TRUE(rig.vc->is_dead(1));
+  return outcome_of(*rig.vc, 4, times);
+}
+
+/// A reliable striped transfer whose rail-0 gateway dies mid-stripe: rail
+/// 0 repairs onto gw2 while rail 1 streams on.
+Outcome striped_rail_crash() {
+  VcOptions options = reliable_options(4);
+  options.max_rails = 2;
+  DisjointRailRig rig(options);
+  rig.fabric.metrics().enable();
+  crash_gw1(rig, sim::milliseconds(4));
+  const auto times = run_transfers(
+      rig.engine, [&rig](NodeRank r) -> VcEndpoint& { return rig.ep(r); },
+      {{0, 3, 1 << 20}});
+  EXPECT_TRUE(rig.vc->is_dead(1));
+  EXPECT_GE(
+      rig.fabric.metrics().counter("stripe.repairs", "node=0,rail=0").value,
+      1u);
+  return outcome_of(*rig.vc, 4, times);
+}
+
+/// Two writers of m0 toward s0: the second opens its hop to gw1 behind
+/// the first's tx lock, the first declares gw1 dead, so the second finds
+/// its route stale at its first pack and reroutes before sending a block.
+/// Window 1: gw1 stores whole messages, so s0 never sees a partial stream
+/// and each receiver takes the messages in sending order.
+Outcome stale_route_reroute() {
+  DisjointRailRig rig(reliable_options(1));
+  rig.fabric.metrics().enable();
+  crash_gw1(rig, sim::milliseconds(4));
+  const auto times = run_transfers(
+      rig.engine, [&rig](NodeRank r) -> VcEndpoint& { return rig.ep(r); },
+      {{0, 3, 256 * 1024}, {0, 3, 256 * 1024, sim::microseconds(1)}});
+  EXPECT_TRUE(rig.vc->is_dead(1));
+  EXPECT_EQ(rig.fabric.metrics().counter("health.reroutes", "node=0").value,
+            1u);
+  return outcome_of(*rig.vc, 4, times);
+}
+
+/// gw1 originates a message to c0 while gw2 relays b0's long message with
+/// a one-message bulk budget: gw1's own writer is refused at its first
+/// gateway and backs off until b0's message is through.
+Outcome origin_reject() {
+  VcOptions options = reliable_options(4);
+  options.reliable.ack_timeout = sim::milliseconds(120);
+  options.reliable.max_attempts = 10;
+  options.flow.enabled = true;
+  options.flow.queue_limit = 16;
+  options.flow.mark_threshold = 8;
+  options.flow.admission.enabled = true;
+  options.flow.admission.message_budget[traffic_class_index(
+      TrafficClass::Bulk)] = 1;
+  FanRig rig(net::tcp_fast_ethernet(), options);
+  rig.fabric.metrics().enable();
+  const auto times = run_transfers(
+      rig.engine, [&rig](NodeRank r) -> VcEndpoint& { return rig.ep(r); },
+      {{4, 6, 512 * 1024}, {1, 5, 64 * 1024, sim::milliseconds(1)}});
+  EXPECT_GE(
+      rig.fabric.metrics().counter("flow.reject_retries", "node=1").value,
+      1u);
+  return outcome_of(*rig.vc, 7, times);
+}
+
 struct RelayCase {
   const char* name;
   std::function<Outcome()> run;
@@ -318,6 +422,56 @@ INSTANTIATE_TEST_SUITE_P(
                     "msgs=1 paquets=5 bytes=65536 acked=7 flow_rejects=6",
                     "msgs=2 paquets=38 bytes=589824 marks=22 adm_rejects=6 "
                     "acked=42 stale=24",
+                    "", "acked=35 cmarks=22", "", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}}),
+    [](const ::testing::TestParamInfo<RelayCase>& info) {
+      return std::string(info.param.name);
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    Origin, RelayPaths,
+    ::testing::Values(
+        RelayCase{"PlainStriped",
+                  plain_striped,
+                  {{16416347},
+                   {"", "msgs=1 paquets=32 bytes=524288",
+                    "msgs=1 paquets=32 bytes=524288", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}},
+        RelayCase{"Window1FirstGatewayCrash",
+                  [] { return origin_gateway_crash(1); },
+                  {{660114447},
+                   {"acked=85 rtx=5 timeouts=6 failovers=1 dead=1",
+                    "paquets=18 bytes=294624",
+                    "paquets=65 bytes=1048576 acked=66", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}},
+        RelayCase{"Window4FirstGatewayCrash",
+                  [] { return origin_gateway_crash(4); },
+                  {{631695587},
+                   {"acked=85 rtx=5 timeouts=6 failovers=1 dead=1",
+                    "paquets=21 bytes=343728 acked=17 rtx=5 timeouts=6",
+                    "paquets=65 bytes=1048576 acked=67", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}},
+        RelayCase{"StripedRailCrash",
+                  striped_rail_crash,
+                  {{631191458},
+                   {"acked=149 rtx=5 timeouts=6 failovers=1 dead=1",
+                    "paquets=10 bytes=163680",
+                    "paquets=65 bytes=1048576 acked=130", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}},
+        RelayCase{"StaleRouteReroute",
+                  stale_route_reroute,
+                  {{612483610, 627145982},
+                   {"acked=47 rtx=6 timeouts=7 failovers=1 dead=1",
+                    "paquets=9 bytes=147312",
+                    "msgs=1 paquets=34 bytes=524288 acked=37 dup=1 stale=2",
+                    ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}},
+        RelayCase{"FirstGatewayReject",
+                  origin_reject,
+                  {{46748386, 81006069},
+                   {"", "acked=7 flow_rejects=5",
+                    "msgs=2 paquets=38 bytes=589824 marks=22 adm_rejects=5 "
+                    "acked=42 stale=20",
                     "", "acked=35 cmarks=22", "", ""},
                    "writes=0 rendezvous=0 hits=0 misses=0"}}),
     [](const ::testing::TestParamInfo<RelayCase>& info) {
