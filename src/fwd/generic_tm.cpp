@@ -1,6 +1,7 @@
 #include "fwd/generic_tm.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/panic.hpp"
 #include "util/rng.hpp"
@@ -46,6 +47,23 @@ GtmBlockHeader block_header_for(std::uint64_t size, SendMode smode,
 }
 
 GtmBlockHeader end_marker() { return {0, 0, 0, 1}; }
+
+void check_block_header(const GtmBlockHeader& header, std::uint64_t size,
+                        SendMode smode, RecvMode rmode) {
+  MAD_ASSERT(header.end_of_message == 0,
+             "unpack past the end of a forwarded message");
+  MAD_ASSERT(header.size == size,
+             "unpack size " + std::to_string(size) +
+                 " does not match packed size " + std::to_string(header.size));
+  MAD_ASSERT(decode_smode(header.smode) == smode &&
+                 decode_rmode(header.rmode) == rmode,
+             "unpack flags do not match the pack flags");
+}
+
+void check_end_marker(const GtmBlockHeader& header) {
+  MAD_ASSERT(header.end_of_message == 1,
+             "end_unpacking before all blocks were consumed");
+}
 
 void write_preamble(MessageWriter& writer, const Preamble& preamble) {
   writer.pack_value(preamble);

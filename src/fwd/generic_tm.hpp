@@ -124,6 +124,15 @@ GtmBlockHeader block_header_for(std::uint64_t size, SendMode smode,
                                 RecvMode rmode);
 GtmBlockHeader end_marker();
 
+/// The GTM self-description checked against an unpack call: panics unless
+/// `header` announces a block (not the end marker) of `size` bytes packed
+/// with (smode, rmode).
+void check_block_header(const GtmBlockHeader& header, std::uint64_t size,
+                        SendMode smode, RecvMode rmode);
+/// Panics unless `header` is the end marker (end_unpacking with blocks
+/// left unread).
+void check_end_marker(const GtmBlockHeader& header);
+
 void write_preamble(MessageWriter& writer, const Preamble& preamble);
 Preamble read_preamble(MessageReader& reader);
 

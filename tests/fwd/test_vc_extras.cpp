@@ -1,7 +1,10 @@
 // Virtual-channel extras: non-blocking/timed receive, multiple virtual
-// channels coexisting, endpoint inbox introspection, and a randomized
-// multi-node soak test.
+// channels coexisting, endpoint inbox introspection, moving a reliable
+// forwarded writer mid-message, and a randomized multi-node soak test.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "support/coc_rig.hpp"
 #include "util/rng.hpp"
@@ -49,6 +52,39 @@ TEST(VcExtras, BeginUnpackingUntilGetsForwardedMessage) {
     EXPECT_EQ(out, payload);
   });
   rig.engine.run();
+}
+
+TEST(VcExtras, ReliableForwardedWriterMovesAfterFirstPack) {
+  // A writer is a value: moving it between packs (into a container, out of
+  // a helper) must keep the open hop stream working. The moved-from writer
+  // is destroyed before the next pack.
+  VcOptions options;
+  options.reliable.enabled = true;
+  options.reliable.window = 4;
+  PaperRig rig(options);
+  util::Rng rng(7);
+  const auto first = rng.bytes(40'000);
+  const auto second = rng.bytes(25'000);
+  std::vector<std::byte> got_first(first.size());
+  std::vector<std::byte> got_second(second.size());
+  rig.engine.spawn("s", [&] {
+    std::optional<VcMessageWriter> old_writer(
+        rig.ep(rig.myri_node()).begin_packing(rig.sci_node()));
+    old_writer->pack(first);
+    VcMessageWriter msg(std::move(*old_writer));
+    old_writer.reset();
+    msg.pack(second);
+    msg.end_packing();
+  });
+  rig.engine.spawn("r", [&] {
+    auto msg = rig.ep(rig.sci_node()).begin_unpacking();
+    msg.unpack(got_first);
+    msg.unpack(got_second);
+    msg.end_unpacking();
+  });
+  rig.engine.run();
+  EXPECT_EQ(got_first, first);
+  EXPECT_EQ(got_second, second);
 }
 
 TEST(VcExtras, PollingLoopWithTryReceive) {
