@@ -12,13 +12,18 @@
 // schedule from the shares announced in the stripe headers, so nothing
 // about the app's pack/unpack call sequence needs to be negotiated.
 //
+// Each rail's sender actor is a loop over rail items feeding one
+// OriginStream (fwd/hop.hpp), the same forwarded stream an unstriped
+// writer uses, with the rail's stripe header in its framing.
+//
 // Flow control: the producer (VcMessageWriter::pack) acquires one credit
 // from the target rail's CreditWindow per chunk; the rail's sender actor
 // releases it once the chunk is on the wire (acked, in reliable mode). A
 // slow, regulated, or failing rail therefore backpressures only its own
-// stripe. In reliable mode a rail whose first-hop gateway dies replays its
-// chunks over the surviving best route (same rail identity, fresh epoch) —
-// the "repair rail" — while the other rails stream on undisturbed.
+// stripe. In reliable mode a rail whose first-hop gateway dies runs the
+// origin's replay loop: it replays its chunks over the surviving best
+// route (same rail identity, fresh epoch) — the "repair rail" — while the
+// other rails stream on undisturbed.
 #pragma once
 
 #include <cstdint>
