@@ -30,7 +30,7 @@
 // retransmission of paquet 0 re-sends the framing prologue in front of it
 // (set_framing below) and the receive side reads headers tolerantly,
 // skipping duplicated framing and unacknowledged stray data paquets
-// (VirtualChannel::read_msg_header_tolerant). Losing the framing to a
+// (VirtualChannel::read_stream_head). Losing the framing to a
 // genuine crash still starves the first paquet's ack, so the sender
 // detects the dead hop via the first paquet's retry budget as before.
 #pragma once
