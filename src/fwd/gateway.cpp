@@ -161,12 +161,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       free_buffers_.send(std::vector<std::byte>(vc.mtu()));
     }
     if (vc.options().flow.enabled) {
-      const std::uint64_t quantum = vc.options().flow.quantum != 0
-                                        ? vc.options().flow.quantum
-                                        : vc.mtu();
+      // DRR quantum: one route-MTU paquet per visit.
       flow_sched_ = std::make_unique<FlowScheduler>(
-          engine_, quantum,
-          vc.name() + ".gwflow." + std::to_string(self));
+          engine_, vc.mtu(), vc.name() + ".gwflow." + std::to_string(self));
       if (vc.options().flow.admission.enabled) {
         admission_ =
             std::make_unique<AdmissionController>(vc.options().flow.admission);
@@ -236,12 +233,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
     // Admission control exists only in flow mode, which VcOptions::validate
     // restricts to reliable channels.
     if (admission_ != nullptr) {
-      const bool new_flow =
-          flow_ids_.find({static_cast<NodeRank>(hdr.origin),
-                          static_cast<int>(traffic_class_index(cls))}) ==
-          flow_ids_.end();
-      const AdmissionController::Verdict verdict =
-          admission_->admit(cls, new_flow);
+      const AdmissionController::Verdict verdict = admission_->admit(cls);
       if (verdict != AdmissionController::Verdict::Admit) {
         reject_message(in, hdr, cls, verdict);
         return;
@@ -855,9 +847,6 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
         static_cast<std::int64_t>(traffic_class_index(cls));
     const int id = flow_sched_->add_flow(weight, cls, sched_key);
     flow_ids_.emplace(key, id);
-    if (admission_ != nullptr) {
-      admission_->on_flow_registered(cls);
-    }
     return id;
   }
 

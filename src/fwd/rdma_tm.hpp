@@ -49,12 +49,6 @@ struct RdmaOptions {
   std::uint32_t rendezvous_threshold = 32 * 1024;
   /// Registered regions the pin-down cache retains per NIC.
   std::size_t cache_capacity = 64;
-  /// Registration cost model: pinning costs base + ceil(len/page) * page
-  /// (syscall entry plus per-page table walk — the shape Tezuka et al.
-  /// measured).
-  sim::Time pin_base_cost = sim::microseconds(20);
-  sim::Time pin_page_cost = sim::microseconds(1);
-  std::uint32_t page_size = 4096;
 
   /// Panics loudly on inconsistent settings.
   void validate() const;

@@ -134,18 +134,10 @@ class DrrQueue {
   }
 
   /// Registers a flow with the given scheduling weight; returns its id.
-  /// Ids are stable: removing a flow never renumbers the others.
   int add_flow(double weight = 1.0, TrafficClass cls = TrafficClass::Bulk);
 
-  /// Deregisters a flow mid-round: its queued items are dropped, its
-  /// deficit is forfeited, and the class round continues with the
-  /// remaining flows — no stall, no credit leak into a neighbour.
-  void remove_flow(int flow);
-
   void enqueue(int flow, std::uint64_t bytes) {
-    Flow& f = flow_at(flow);
-    MAD_ASSERT(f.active, "enqueue on a removed DRR flow");
-    f.items.push_back(bytes);
+    flow_at(flow).items.push_back(bytes);
     ++pending_;
   }
 
@@ -162,12 +154,17 @@ class DrrQueue {
   std::size_t backlog(int flow) const { return flow_at(flow).items.size(); }
   std::size_t flow_count() const { return flows_.size(); }
   TrafficClass class_of(int flow) const { return flow_at(flow).cls; }
+  double weight_of(int flow) const { return flow_at(flow).weight; }
+  /// Per-visit top-up of `flow`: quantum x weight, at least one byte.
+  std::uint64_t allowance(int flow) const {
+    const double q = static_cast<double>(quantum_) * flow_at(flow).weight;
+    return q < 1.0 ? 1 : static_cast<std::uint64_t>(q);
+  }
 
  private:
   struct Flow {
     double weight = 1.0;
     TrafficClass cls = TrafficClass::Bulk;
-    bool active = true;
     std::uint64_t deficit = 0;
     bool topped_up = false;  // quantum granted for the current visit
     std::deque<std::uint64_t> items;
@@ -180,10 +177,6 @@ class DrrQueue {
   }
   const Flow& flow_at(int flow) const {
     return const_cast<DrrQueue*>(this)->flow_at(flow);
-  }
-  std::uint64_t top_up(const Flow& f) const {
-    const double q = static_cast<double>(quantum_) * f.weight;
-    return q < 1.0 ? 1 : static_cast<std::uint64_t>(q);
   }
 
   std::uint64_t quantum_;
@@ -201,7 +194,8 @@ class DrrQueue {
 /// one grant is outstanding at a time (the egress NIC serializes anyway),
 /// and contended grants are issued in DRR order, so concurrent flows share
 /// the outgoing wire in proportion to their weights instead of in
-/// whatever order their ingress paquets happened to land.
+/// whatever order their ingress paquets happened to land. Parked requests
+/// live in a DrrQueue, and each grant is the item its dequeue() returns.
 ///
 /// The cursor stays on the granted flow between grants: a flow with
 /// deficit left keeps the wire for its whole burst (classic DRR visit
@@ -216,24 +210,15 @@ class DrrQueue {
 class FlowScheduler {
  public:
   FlowScheduler(sim::Engine& engine, std::uint64_t quantum, std::string name)
-      : drr_quantum_(quantum), granted_cond_(engine, std::move(name)) {
-    MAD_ASSERT(quantum > 0, "flow scheduler quantum must be positive");
-  }
+      : parked_(quantum), granted_cond_(engine, std::move(name)) {}
 
   /// Registers a flow with the given weight; returns its id. `key` is the
   /// caller's identity for the flow (the gateway uses origin·class);
   /// registering the same non-negative key twice is a diagnosable panic —
   /// a duplicate would silently split one origin's traffic across two DRR
-  /// deficits. Pass key = -1 for anonymous flows. Ids are stable across
-  /// removals.
+  /// deficits. Pass key = -1 for anonymous flows.
   int add_flow(double weight = 1.0, TrafficClass cls = TrafficClass::Bulk,
                std::int64_t key = -1);
-
-  /// Deregisters a flow between grants. The flow must be quiescent — no
-  /// parked requests and not holding the wire — and its deficit is
-  /// forfeited, so the surrounding DRR round neither stalls nor inherits
-  /// credit. Its key (if any) becomes reusable.
-  void remove_flow(int flow);
 
   /// Blocks until the DRR order grants this flow the wire for one item of
   /// `bytes`. Requests within a flow are served FIFO.
@@ -250,10 +235,10 @@ class FlowScheduler {
   /// every grant empties its parked queue and a scheduler-side deficit
   /// would be forfeited on every visit, collapsing weights into plain
   /// round-robin.
-  std::uint64_t allowance(int flow) const { return top_up(flow_at(flow)); }
+  std::uint64_t allowance(int flow) const { return parked_.allowance(flow); }
 
-  double weight_of(int flow) const { return flow_at(flow).weight; }
-  TrafficClass class_of(int flow) const { return flow_at(flow).cls; }
+  double weight_of(int flow) const { return parked_.weight_of(flow); }
+  TrafficClass class_of(int flow) const { return parked_.class_of(flow); }
 
   std::uint64_t grants(int flow) const { return flow_at(flow).grants; }
   std::uint64_t granted_bytes(int flow) const {
@@ -263,13 +248,6 @@ class FlowScheduler {
 
  private:
   struct Flow {
-    double weight = 1.0;
-    TrafficClass cls = TrafficClass::Bulk;
-    std::int64_t key = -1;
-    bool active = true;
-    std::uint64_t deficit = 0;
-    bool topped_up = false;
-    std::deque<std::uint64_t> parked;  // requested sizes, FIFO
     std::uint64_t enq_ticket = 0;      // next ticket to hand a requester
     std::uint64_t served_ticket = 0;   // tickets granted so far
     std::uint64_t grants = 0;
@@ -284,19 +262,11 @@ class FlowScheduler {
   const Flow& flow_at(int flow) const {
     return const_cast<FlowScheduler*>(this)->flow_at(flow);
   }
-  std::uint64_t top_up(const Flow& f) const {
-    const double q = static_cast<double>(drr_quantum_) * f.weight;
-    return q < 1.0 ? 1 : static_cast<std::uint64_t>(q);
-  }
   /// Issues the next grant if the wire is free and anything is parked.
   void pump();
-  /// One class band of pump(): true if a grant was issued from it.
-  bool pump_band(std::size_t band);
 
-  std::uint64_t drr_quantum_;
+  DrrQueue parked_;  // requested sizes, FIFO per flow, in DRR order
   std::vector<Flow> flows_;
-  std::array<std::vector<int>, kTrafficClassCount> band_{};
-  std::array<std::size_t, kTrafficClassCount> band_cursor_{};
   std::map<std::int64_t, int> keys_;
   bool busy_ = false;         // a grant is outstanding
   int granted_flow_ = -1;     // flow holding the wire while busy_
@@ -304,24 +274,13 @@ class FlowScheduler {
   sim::Condition granted_cond_;
 };
 
-/// Budgets and shedding knobs for the gateway admission controller.
-/// Budgets are per class and 0 means unlimited. `shed_target` /
-/// `shed_interval` drive the CoDel-style sojourn policy: once a class's
-/// dequeue sojourn has stayed at or above the target for a full interval,
-/// the class sheds (rejects new messages) until a sojourn sample drops
-/// back below the target.
+/// Gateway admission control: per-class byte budgets in front of the
+/// CoDel-style sojourn shedding of AdmissionController.
 struct AdmissionOptions {
   bool enabled = false;
-  /// Max queued payload bytes per class before new messages are rejected.
+  /// Max queued payload bytes per class before new messages are rejected;
+  /// 0 means unlimited.
   std::array<std::uint64_t, kTrafficClassCount> byte_budget{};
-  /// Max concurrently-relayed messages per class.
-  std::array<std::uint32_t, kTrafficClassCount> message_budget{};
-  /// Max registered flows per class; checked at flow registration.
-  std::array<std::uint32_t, kTrafficClassCount> flow_budget{};
-  sim::Time shed_target = sim::milliseconds(20);
-  sim::Time shed_interval = sim::milliseconds(100);
-
-  void validate() const;
 };
 
 /// Overload gatekeeper for the gateway (pure state machine, virtual time
@@ -337,26 +296,26 @@ struct AdmissionOptions {
 /// load is always stripped from the bottom of the priority order first.
 class AdmissionController {
  public:
-  explicit AdmissionController(const AdmissionOptions& opts) : opts_(opts) {
-    opts_.validate();
-  }
+  explicit AdmissionController(const AdmissionOptions& opts) : opts_(opts) {}
+
+  /// CoDel-style sojourn policy: once a class's dequeue sojourn has stayed
+  /// at or above kShedTarget for a full kShedInterval, the class sheds
+  /// (rejects new messages) until a sojourn sample drops back below the
+  /// target.
+  static constexpr sim::Time kShedTarget = sim::milliseconds(20);
+  static constexpr sim::Time kShedInterval = sim::milliseconds(100);
 
   enum class Verdict : std::uint8_t {
     Admit,
-    RejectBudget,  // byte or message budget exhausted
+    RejectBudget,  // byte budget exhausted
     RejectShed,    // CoDel sojourn policy is shedding this class
-    RejectFlow,    // per-class flow budget exhausted (registration time)
   };
 
-  /// Verdict for one arriving message. `new_flow` marks the first message
-  /// of an unregistered (origin, class) flow, which additionally checks
-  /// the flow budget. Budgets admit strictly below the line: an enqueue
-  /// that lands exactly at budget makes the *next* admission reject.
-  Verdict admit(TrafficClass cls, bool new_flow);
+  /// Verdict for one arriving message. Budgets admit strictly below the
+  /// line: an enqueue that lands exactly at budget makes the *next*
+  /// admission reject.
+  Verdict admit(TrafficClass cls);
 
-  void on_flow_registered(TrafficClass cls) {
-    ++state(cls).flows;
-  }
   void on_message_admitted(TrafficClass cls) {
     ++state(cls).queued_messages;
   }
@@ -381,7 +340,6 @@ class AdmissionController {
   std::uint32_t queued_messages(TrafficClass cls) const {
     return state(cls).queued_messages;
   }
-  std::uint32_t flows(TrafficClass cls) const { return state(cls).flows; }
   bool shedding(TrafficClass cls) const { return state(cls).shedding; }
   std::uint64_t rejects(TrafficClass cls) const { return state(cls).rejects; }
   std::uint64_t sheds(TrafficClass cls) const { return state(cls).sheds; }
@@ -390,7 +348,6 @@ class AdmissionController {
   struct ClassState {
     std::uint64_t queued_bytes = 0;
     std::uint32_t queued_messages = 0;
-    std::uint32_t flows = 0;
     bool above_target = false;   // sojourns have not dipped below target
     sim::Time above_since = 0;   // when the current above-target run began
     bool shedding = false;

@@ -18,17 +18,26 @@
 
 namespace mad::fwd {
 
+namespace {
+
+/// Deadline multiplier per retry (exponential backoff).
+constexpr double kTimeoutBackoff = 2.0;
+/// Fraction of each backed-off deadline added as deterministic
+/// pseudo-random jitter (uniform in [0, jitter·rto), seeded per sender).
+/// Without it the backoff chain is strictly periodic, and against a
+/// periodic fault (a flapping link whose period divides the backoff
+/// steps) every retransmission can phase-lock into the down-windows and
+/// exhaust the retry budget on a hop that is up more than half the time.
+constexpr double kRetransmitJitter = 0.25;
+
+}  // namespace
+
 void ReliableOptions::validate() const {
   MAD_ASSERT(ack_timeout > 0, "reliable mode needs a positive ack timeout");
-  MAD_ASSERT(timeout_backoff >= 1.0,
-             "reliable timeout_backoff must be >= 1 (a shrinking retransmit "
-             "deadline never converges)");
+  MAD_ASSERT(ack_timeout <= kMaxAckTimeout,
+             "reliable ack_timeout must not exceed the 2 s retransmit cap");
   MAD_ASSERT(max_attempts >= 1, "reliable mode needs at least one attempt");
   MAD_ASSERT(window >= 1, "reliable window must hold at least one paquet");
-  MAD_ASSERT(max_ack_timeout >= ack_timeout,
-             "reliable max_ack_timeout must be >= ack_timeout");
-  MAD_ASSERT(retransmit_jitter >= 0.0 && retransmit_jitter <= 1.0,
-             "reliable retransmit_jitter must be within [0, 1]");
 }
 
 sim::Time backed_off_timeout(sim::Time timeout, double backoff,
@@ -154,7 +163,7 @@ sim::Time ReliableSender::initial_rto() const {
   // A pending backoff (timer fired, no valid sample since) floors the
   // fresh-paquet deadline too, not just the retransmitted paquet's.
   return std::clamp(std::max(rto, backed_off_rto_), opts.ack_timeout,
-                    opts.max_ack_timeout);
+                    kMaxAckTimeout);
 }
 
 void ReliableSender::set_framing(const Preamble& preamble,
@@ -285,21 +294,18 @@ void ReliableSender::expire(InFlight& p) {
                              std::to_string(p.seq) + " attempt=" +
                              std::to_string(p.attempts + 1));
   }
-  p.rto = backed_off_timeout(p.rto, opts.timeout_backoff,
-                             opts.max_ack_timeout);
+  p.rto = backed_off_timeout(p.rto, kTimeoutBackoff, kMaxAckTimeout);
   if (window_ > 1) {
     backed_off_rto_ = std::max(backed_off_rto_, p.rto);
   }
-  if (opts.retransmit_jitter > 0.0) {
-    // Desynchronize from periodic faults: a pure doubling chain repeats the
-    // same phase against any fault period that divides its steps, so a
-    // retransmit that once landed in a flap's down-window would land in
-    // every later one too. Jitter stays under the max_ack_timeout ceiling.
-    const auto extra = static_cast<sim::Time>(
-        static_cast<double>(p.rto) * opts.retransmit_jitter *
-        jitter_rng_.next_double());
-    p.rto = std::min(p.rto + extra, opts.max_ack_timeout);
-  }
+  // Desynchronize from periodic faults: a pure doubling chain repeats the
+  // same phase against any fault period that divides its steps, so a
+  // retransmit that once landed in a flap's down-window would land in
+  // every later one too. Jitter stays under the kMaxAckTimeout ceiling.
+  const auto extra = static_cast<sim::Time>(static_cast<double>(p.rto) *
+                                            kRetransmitJitter *
+                                            jitter_rng_.next_double());
+  p.rto = std::min(p.rto + extra, kMaxAckTimeout);
   ++p.attempts;
   p.retransmitted = true;
   transmit(p);

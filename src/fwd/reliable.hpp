@@ -77,10 +77,10 @@ struct ReliableOptions {
   /// exist). The ack only posts once the receiver has fully consumed the
   /// paquet (receive-side PCI flow + overheads), so for the paper-scale
   /// 64–128 KB paquets a round trip is 1–4 ms of virtual time; a
-  /// sub-millisecond default would retransmit constantly.
+  /// sub-millisecond default would retransmit constantly. Must not exceed
+  /// kMaxAckTimeout. Each retry doubles the deadline (exponential backoff)
+  /// and adds up to 25% deterministic jitter (fwd/reliable.cpp).
   sim::Time ack_timeout = sim::milliseconds(5);
-  /// Deadline multiplier per retry (exponential backoff).
-  double timeout_backoff = 2.0;
   /// Attempts (including the first) before the hop is declared dead.
   int max_attempts = 6;
   /// Paquets a sender may keep in flight per hop before blocking. 1 is
@@ -96,22 +96,15 @@ struct ReliableOptions {
   /// stays deep while the path actually sustains it. Off by default; the
   /// static-window event sequences are unchanged.
   bool adaptive = false;
-  /// Hard ceiling on any backed-off retransmit deadline. Keeps the
-  /// exponential chain from overflowing Time and bounds how long a retry
-  /// can stall failover detection.
-  sim::Time max_ack_timeout = sim::seconds(2);
-  /// Fraction of each backed-off deadline added as deterministic
-  /// pseudo-random jitter (uniform in [0, jitter·rto), seeded per sender).
-  /// Without it the backoff chain is strictly periodic, and against a
-  /// periodic fault (a flapping link whose period divides the backoff
-  /// steps) every retransmission can phase-lock into the down-windows and
-  /// exhaust the retry budget on a hop that is up more than half the time.
-  /// 0 disables jitter and restores the exact PR-1/PR-5 deadline sequence.
-  double retransmit_jitter = 0.25;
 
   /// Panics on inconsistent settings (called by the VirtualChannel ctor).
   void validate() const;
 };
+
+/// Hard ceiling on any backed-off retransmit deadline. Keeps the
+/// exponential chain from overflowing Time and bounds how long a retry
+/// can stall failover detection.
+inline constexpr sim::Time kMaxAckTimeout = sim::seconds(2);
 
 /// Applies one backoff step to `timeout`, clamping to `cap`. The multiply
 /// happens in double; any overflow, inf or NaN lands on the cap instead of
@@ -154,7 +147,7 @@ struct PeerDied {
 /// rejected this epoch's message (net::AckRegistry::post_reject). Unlike
 /// HopFailure nothing is condemned: the hop is healthy, the gateway is
 /// overloaded. The writer abandons the epoch and replays the whole message
-/// after an exponential backoff (VcOptions::flow reject_backoff knobs).
+/// after an exponential backoff (VirtualChannel::reject_backoff).
 struct FlowRejected {
   NodeRank gateway = -1;
 };

@@ -18,6 +18,14 @@ namespace mad::fwd {
 
 namespace {
 
+/// Per-rail credit window, in chunks: how many chunks pack() may hand a
+/// rail before blocking on that rail's progress.
+constexpr std::uint32_t kRailCreditChunks = 4;
+
+/// Stripe rails whose route health scores below this are dropped from the
+/// plan.
+constexpr double kRailDropScore = 0.45;
+
 std::vector<std::uint32_t> shares_of(const std::vector<RailPlan>& plans) {
   std::vector<std::uint32_t> shares;
   shares.reserve(plans.size());
@@ -84,7 +92,7 @@ std::vector<RailPlan> plan_rails(const VirtualChannel& vc, NodeRank src,
     plans.push_back(RailPlan{routes[r], share});
   }
   // Graceful rail degradation: demote a sick rail's share in proportion to
-  // its route health and drop it entirely below rail_drop_score. Dropping
+  // its route health and drop it entirely below kRailDropScore. Dropping
   // to a single rail returns that one plan — the caller then sends
   // unstriped, which is exactly the degraded mode we want.
   if (const topo::HealthMonitor* health = vc.health()) {
@@ -94,7 +102,7 @@ std::vector<RailPlan> plan_rails(const VirtualChannel& vc, NodeRank src,
     kept.reserve(plans.size());
     for (std::size_t r = 0; r < plans.size(); ++r) {
       const double score = health->route_score(src, plans[r].route, now);
-      if (score < health->options().rail_drop_score) {
+      if (score < kRailDropScore) {
         metrics.add("health.rails_dropped",
                     rail_label(src, r));
         continue;
@@ -163,7 +171,7 @@ Striper::Striper(VirtualChannel& vc, NodeRank src, NodeRank dst,
   rails_.reserve(plans.size());
   for (std::size_t r = 0; r < plans.size(); ++r) {
     rails_.push_back(std::make_unique<Rail>(
-        engine, std::move(plans[r]), vc.options().rail_credit_chunks,
+        engine, std::move(plans[r]), kRailCreditChunks,
         vc.name() + ".rail" + std::to_string(r) + "." + std::to_string(src)));
   }
   for (std::size_t r = 0; r < rails_.size(); ++r) {

@@ -30,19 +30,11 @@ void FlowOptions::validate(bool reliable_enabled) const {
   for (const double w : weights) {
     MAD_ASSERT(w >= 0.0, "flow weights must be >= 0 (0 = default)");
   }
-  admission.validate();
-  MAD_ASSERT(reject_backoff > 0, "flow reject_backoff must be positive");
-  MAD_ASSERT(reject_backoff_factor >= 1.0,
-             "flow reject_backoff_factor must be >= 1");
-  MAD_ASSERT(reject_backoff_cap >= reject_backoff,
-             "flow reject_backoff_cap must be >= reject_backoff");
 }
 
 void VcOptions::validate() const {
   MAD_ASSERT(pipeline_depth >= 1, "pipeline depth must be >= 1");
   MAD_ASSERT(max_rails >= 1, "max_rails must be >= 1");
-  MAD_ASSERT(rail_credit_chunks >= 1,
-             "rail credit window must hold at least one chunk");
   if (reliable.enabled) {
     reliable.validate();
   }
@@ -357,14 +349,24 @@ void VirtualChannel::fail_over(NodeRank self, NodeRank dst,
   }
 }
 
+namespace {
+
+/// Sender backoff after a FlowRejected admission verdict: the base delay,
+/// multiplied by kRejectBackoffFactor per consecutive rejection of the same
+/// message and capped at kRejectBackoffCap (before jitter).
+constexpr sim::Time kRejectBackoff = sim::milliseconds(2);
+constexpr double kRejectBackoffFactor = 2.0;
+constexpr sim::Time kRejectBackoffCap = sim::milliseconds(100);
+
+}  // namespace
+
 void VirtualChannel::reject_backoff(NodeRank self, int attempts,
                                     std::uint64_t jitter_seed,
                                     const std::string& detail) {
-  const FlowOptions& flow = options_.flow;
-  double delay = static_cast<double>(flow.reject_backoff);
-  const double cap = static_cast<double>(flow.reject_backoff_cap);
+  double delay = static_cast<double>(kRejectBackoff);
+  const double cap = static_cast<double>(kRejectBackoffCap);
   for (int i = 0; i < attempts && delay < cap; ++i) {
-    delay *= flow.reject_backoff_factor;
+    delay *= kRejectBackoffFactor;
   }
   delay = std::min(delay, cap);
   util::Rng jitter(jitter_seed);

@@ -40,18 +40,18 @@ namespace mad::fwd {
 /// Multi-flow forwarding at the gateway relay (fwd/gateway.cpp). When
 /// enabled, the relay keys concurrent forwarded messages by origin node
 /// into per-flow queues, schedules their egress paquets with deficit
-/// round-robin (optionally weighted), and posts an ECN-style congestion
-/// mark back to the origin's reliable sender whenever a flow's relay
-/// queue crosses `mark_threshold` — pair with ReliableOptions::adaptive
-/// so marked senders shrink their windows instead of piling the queue
-/// higher. Requires reliable mode (the mark rides the ack board, and
-/// only reliable streams carry the per-paquet structure the relay
-/// queues). Off by default: the relay keeps its serial per-message path
-/// and the event sequences of every existing test.
+/// round-robin (optionally weighted; the quantum is one route-MTU paquet),
+/// and posts an ECN-style congestion mark back to the origin's reliable
+/// sender whenever a flow's relay queue crosses `mark_threshold` — pair
+/// with ReliableOptions::adaptive so marked senders shrink their windows
+/// instead of piling the queue higher. Requires reliable mode (the mark
+/// rides the ack board, and only reliable streams carry the per-paquet
+/// structure the relay queues). Off by default: the relay keeps its serial
+/// per-message path and the event sequences of every existing test.
+/// A writer whose message an admission gate refuses backs off with jitter
+/// before it replays (VirtualChannel::reject_backoff).
 struct FlowOptions {
   bool enabled = false;
-  /// DRR quantum in bytes per visit; 0 = auto (one route-MTU paquet).
-  std::uint64_t quantum = 0;
   /// Per-flow relay queue depth (paquets buffered between a flow's
   /// ingress and its scheduled egress). The queue is a bounded mailbox:
   /// a full queue blocks the flow's ingress reader, which stalls its
@@ -63,31 +63,22 @@ struct FlowOptions {
   /// Per-origin scheduling weights, indexed by origin node rank; nodes
   /// beyond the vector (or with a 0 entry) default to weight 1.
   std::vector<double> weights;
-  /// TrafficClass every writer stamps into its messages unless overridden
-  /// per origin below. Gateways arbitrate classes strictly (control before
-  /// latency before bulk, fwd/regulation.hpp) and shed in reverse order.
-  TrafficClass default_class = TrafficClass::Bulk;
-  /// Per-origin class overrides, indexed by origin node rank; origins
-  /// beyond the vector use `default_class`.
+  /// Per-origin TrafficClass every writer stamps into its messages,
+  /// indexed by origin node rank; origins beyond the vector send Bulk.
+  /// Gateways arbitrate classes strictly (control before latency before
+  /// bulk, fwd/regulation.hpp) and shed in reverse order.
   std::vector<TrafficClass> classes;
-  /// Gateway admission control: per-class budgets plus the CoDel-style
-  /// sojourn shedding policy. Disabled by default — flows then rely on
-  /// plain blocking backpressure, exactly the PR 7 behaviour.
+  /// Gateway admission control: per-class byte budgets plus the
+  /// CoDel-style sojourn shedding policy. Disabled by default — flows then
+  /// rely on plain blocking backpressure.
   AdmissionOptions admission;
-  /// Sender backoff after a FlowRejected admission verdict: base delay,
-  /// multiplied by `reject_backoff_factor` per consecutive rejection of
-  /// the same message, capped at `reject_backoff_cap`, with deterministic
-  /// ±25% jitter so synchronized rejectees do not retry in lockstep.
-  sim::Time reject_backoff = sim::milliseconds(2);
-  double reject_backoff_factor = 2.0;
-  sim::Time reject_backoff_cap = sim::milliseconds(100);
 
   /// Class used for messages originating at `origin`.
   TrafficClass class_of(NodeRank origin) const {
     if (origin >= 0 && static_cast<std::size_t>(origin) < classes.size()) {
       return classes[static_cast<std::size_t>(origin)];
     }
-    return default_class;
+    return TrafficClass::Bulk;
   }
 
   /// Panics on inconsistent settings (called by VcOptions::validate).
@@ -128,9 +119,6 @@ struct VcOptions {
   /// each other); sequential transfers and different destinations are
   /// unrestricted.
   int max_rails = 1;
-  /// Per-rail credit window, in chunks: how many chunks pack() may hand a
-  /// rail before blocking on that rail's progress.
-  std::uint32_t rail_credit_chunks = 4;
   /// Overrides the MTU-derived per-rail shares (paquets per round-robin
   /// round) when non-empty — the "measured rate" weighting knob. Entries
   /// beyond the actual rail count are ignored; missing entries default
@@ -262,9 +250,10 @@ class VirtualChannel {
   /// The backoff of a stream from `self` whose message an admission gate
   /// refused `attempts` times in a row, shared by the origin and gateway
   /// relays: counts flow.reject_retries, records a "flow.rejected" trace
-  /// instant with `detail`, and sleeps reject_backoff x factor^attempts,
-  /// capped at reject_backoff_cap, plus up to 25% deterministic jitter
-  /// drawn from `jitter_seed`, so synchronized rejectees retry out of step.
+  /// instant with `detail`, and sleeps kRejectBackoff x
+  /// kRejectBackoffFactor^attempts, capped at kRejectBackoffCap, plus up to
+  /// 25% deterministic jitter drawn from `jitter_seed`, so synchronized
+  /// rejectees retry out of step.
   void reject_backoff(NodeRank self, int attempts, std::uint64_t jitter_seed,
                       const std::string& detail);
 

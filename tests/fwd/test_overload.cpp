@@ -52,18 +52,6 @@ TEST(VcOptionsValidate, FlowModeAloneIsAccepted) {
   flow_options().validate();
 }
 
-TEST(VcOptionsValidate, BadRejectBackoffRejected) {
-  VcOptions options = flow_options();
-  options.flow.reject_backoff = 0;
-  EXPECT_THROW(options.validate(), util::PanicError);
-  options.flow.reject_backoff = sim::milliseconds(2);
-  options.flow.reject_backoff_factor = 0.5;
-  EXPECT_THROW(options.validate(), util::PanicError);
-  options.flow.reject_backoff_factor = 2.0;
-  options.flow.reject_backoff_cap = sim::milliseconds(1);  // below base
-  EXPECT_THROW(options.validate(), util::PanicError);
-}
-
 TEST(VcOptionsValidate, ConstructorRunsValidation) {
   // The checks fire at world construction, not first use.
   const topo::TopoConfig config = topo::parse_topo_config(
@@ -202,15 +190,16 @@ TEST(Overload, ControlClassIsStarvationFreeUnderSaturatedBulk) {
 }
 
 TEST(Overload, AdmissionRejectsAreRetriedToCompletion) {
-  // One-message bulk budget with two concurrent bulk origins: the second
-  // message is refused at the admission gate, the origin's writer sees
+  // One-byte bulk budget with two staggered bulk origins: the later
+  // origin's message arrives while the first one's paquets sit in the relay
+  // queue and is refused at the admission gate, the origin's writer sees
   // FlowRejected off the ack board, backs off, and replays — every byte
   // still arrives intact, and both the gateway- and sender-side counters
   // prove the reject path actually ran.
   const topo::TopoConfig config = overload_config(2);
   VcOptions options = overload_options();
   options.flow.admission.enabled = true;
-  options.flow.admission.message_budget[traffic_class_index(
+  options.flow.admission.byte_budget[traffic_class_index(
       TrafficClass::Bulk)] = 1;
   harness::ConfigWorld world(config, options);
 
@@ -224,7 +213,8 @@ TEST(Overload, AdmissionRejectsAreRetriedToCompletion) {
     const std::vector<std::byte>& payload =
         payloads[static_cast<std::size_t>(f)];
     world.engine.spawn("tx" + std::to_string(f), [&world, &payload, src,
-                                                  dst] {
+                                                  dst, f] {
+      world.engine.sleep_for(sim::milliseconds(f));
       for (int m = 0; m < kMessages; ++m) {
         auto msg = world.ep(src).begin_packing(dst);
         msg.pack(util::ByteSpan(payload));
@@ -262,8 +252,6 @@ TEST(Overload, ControlPassesAdmissionUnderZeroBulkBudget) {
   VcOptions options = overload_options();
   options.flow.classes = {TrafficClass::Bulk, TrafficClass::Control};
   options.flow.admission.enabled = true;
-  options.flow.admission.message_budget[traffic_class_index(
-      TrafficClass::Bulk)] = 1;
   options.flow.admission.byte_budget[traffic_class_index(
       TrafficClass::Bulk)] = 64 * 1024;
   harness::ConfigWorld world(config, options);

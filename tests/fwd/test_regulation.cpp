@@ -279,15 +279,6 @@ TEST(FlowScheduler, DuplicateKeyRejected) {
   sched.add_flow();
 }
 
-TEST(FlowScheduler, RemovedKeyIsReusable) {
-  sim::Engine eng;
-  FlowScheduler sched(eng, 1000, "drr");
-  const int a = sched.add_flow(1.0, TrafficClass::Bulk, /*key=*/3);
-  sched.remove_flow(a);
-  const int b = sched.add_flow(1.0, TrafficClass::Bulk, /*key=*/3);
-  EXPECT_NE(a, b);
-}
-
 // --- Strict priority classes -----------------------------------------------
 
 TEST(DrrQueue, StrictPriorityAcrossClasses) {
@@ -350,64 +341,6 @@ TEST(FlowScheduler, ControlGrantedBeforeParkedBulk) {
   EXPECT_EQ(order, (std::vector<int>{bulk, ctl, bulk2}));
 }
 
-// --- Mid-round flow removal ------------------------------------------------
-
-TEST(DrrQueue, RemoveFlowMidRoundDropsItemsAndContinues) {
-  // Removing flow b mid-round: its queued items vanish from the pending
-  // count (no stall on a phantom backlog), its banked deficit is
-  // forfeited (no credit leak into a neighbour), and the round continues
-  // with a and c in order.
-  DrrQueue q(100);
-  const int a = q.add_flow();
-  const int b = q.add_flow();
-  const int c = q.add_flow();
-  for (int i = 0; i < 2; ++i) {
-    q.enqueue(a, 100);
-    q.enqueue(b, 100);
-    q.enqueue(c, 100);
-  }
-  ASSERT_EQ(q.dequeue()->flow, a);  // a's visit quantum is now spent
-  q.remove_flow(b);
-  // The round continues a↔c: c's visit (skipping removed b), back to a,
-  // back to c — b's two dropped items and banked deficit leak nowhere.
-  EXPECT_EQ(drain(q), (std::vector<int>{c, a, c}));
-  EXPECT_TRUE(q.empty());  // b's dropped items left no phantom backlog
-  EXPECT_THROW(q.enqueue(b, 100), util::PanicError);
-  EXPECT_THROW(q.remove_flow(b), util::PanicError);
-}
-
-TEST(FlowScheduler, RemoveQuiescentFlowKeepsGrantingOthers) {
-  sim::Engine eng;
-  FlowScheduler sched(eng, 1000, "drr");
-  const int a = sched.add_flow();
-  const int b = sched.add_flow();
-  int grants = 0;
-  eng.spawn("driver", [&] {
-    sched.acquire(a, 100);
-    sched.release(a);
-    sched.remove_flow(b);  // quiescent: never parked, never granted
-    for (int i = 0; i < 3; ++i) {
-      sched.acquire(a, 100);
-      ++grants;
-      sched.release(a);
-    }
-  });
-  eng.run();
-  EXPECT_EQ(grants, 3);
-}
-
-TEST(FlowScheduler, RemoveGrantedFlowRejected) {
-  sim::Engine eng;
-  FlowScheduler sched(eng, 1000, "drr");
-  const int a = sched.add_flow();
-  eng.spawn("driver", [&] {
-    sched.acquire(a, 100);
-    EXPECT_THROW(sched.remove_flow(a), util::PanicError);
-    sched.release(a);
-  });
-  eng.run();
-}
-
 // --- Admission controller --------------------------------------------------
 
 using Verdict = AdmissionController::Verdict;
@@ -419,79 +352,70 @@ TEST(AdmissionController, ByteBudgetAdmitsStrictlyBelowTheLine) {
   opts.enabled = true;
   opts.byte_budget[traffic_class_index(TrafficClass::Bulk)] = 1000;
   AdmissionController adm(opts);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::Admit);
   adm.on_enqueue(TrafficClass::Bulk, 999);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::Admit);
   adm.on_enqueue(TrafficClass::Bulk, 1);  // exactly at budget now
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::RejectBudget);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::RejectBudget);
   EXPECT_EQ(adm.rejects(TrafficClass::Bulk), 1u);
   // Draining a single byte reopens the class.
   adm.on_dequeue(TrafficClass::Bulk, 1, 0, 0);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
-}
-
-TEST(AdmissionController, MessageBudgetBracketsConcurrentRelays) {
-  AdmissionOptions opts;
-  opts.enabled = true;
-  opts.message_budget[traffic_class_index(TrafficClass::Bulk)] = 2;
-  AdmissionController adm(opts);
-  adm.on_message_admitted(TrafficClass::Bulk);
-  adm.on_message_admitted(TrafficClass::Bulk);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::RejectBudget);
-  adm.on_message_done(TrafficClass::Bulk);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::Admit);
 }
 
 TEST(AdmissionController, ControlIsNeverRejected) {
-  // Zero budget everywhere, shedding armed — control still passes: it
-  // degrades to plain blocking backpressure, never to loss.
+  // One-byte budgets everywhere, control over budget and shedding — control
+  // still passes: it degrades to plain blocking backpressure, never to loss.
   AdmissionOptions opts;
   opts.enabled = true;
   opts.byte_budget = {1, 1, 1};
-  opts.message_budget = {1, 1, 1};
-  opts.flow_budget = {1, 1, 1};
   AdmissionController adm(opts);
-  adm.on_enqueue(TrafficClass::Control, 100);
+  adm.on_enqueue(TrafficClass::Control, 300);
+  adm.on_dequeue(TrafficClass::Control, 100, 0, sim::milliseconds(20));
+  adm.on_dequeue(TrafficClass::Control, 100, sim::milliseconds(100),
+                 sim::milliseconds(120));
   adm.on_message_admitted(TrafficClass::Control);
-  adm.on_flow_registered(TrafficClass::Control);
-  EXPECT_EQ(adm.admit(TrafficClass::Control, true), Verdict::Admit);
+  ASSERT_TRUE(adm.shedding(TrafficClass::Control));
+  EXPECT_EQ(adm.admit(TrafficClass::Control), Verdict::Admit);
 }
 
-TEST(AdmissionController, FlowBudgetChecksRegistrationOnly) {
-  AdmissionOptions opts;
-  opts.enabled = true;
-  opts.flow_budget[traffic_class_index(TrafficClass::Bulk)] = 1;
-  AdmissionController adm(opts);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, true), Verdict::Admit);
-  adm.on_flow_registered(TrafficClass::Bulk);
-  // A second flow is refused; more messages on the existing flow pass.
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, true), Verdict::RejectFlow);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::Admit);
+TEST(AdmissionController, InFlightMessageKeepsShedClassClosed) {
+  // The drain reopen needs both an empty byte queue and no admitted
+  // message still relaying: a message between its admission and its last
+  // fragment has queued nothing yet, so its class stays shed.
+  AdmissionController adm(AdmissionOptions{});
+  const TrafficClass bulk = TrafficClass::Bulk;
+  adm.on_message_admitted(bulk);
+  adm.on_enqueue(bulk, 200);
+  adm.on_dequeue(bulk, 100, 0, sim::milliseconds(20));
+  adm.on_dequeue(bulk, 100, sim::milliseconds(100), sim::milliseconds(120));
+  ASSERT_EQ(adm.queued_bytes(bulk), 0u);
+  EXPECT_EQ(adm.admit(bulk), Verdict::RejectShed);
+  adm.on_message_done(bulk);
+  EXPECT_EQ(adm.admit(bulk), Verdict::Admit);
 }
 
 TEST(AdmissionController, ShedsAfterSustainedSojournThenRecovers) {
-  AdmissionOptions opts;
-  opts.enabled = true;
-  opts.shed_target = sim::milliseconds(10);
-  opts.shed_interval = sim::milliseconds(50);
-  AdmissionController adm(opts);
+  AdmissionController adm(AdmissionOptions{});
   const TrafficClass bulk = TrafficClass::Bulk;
+  static_assert(AdmissionController::kShedTarget == sim::milliseconds(20));
+  static_assert(AdmissionController::kShedInterval == sim::milliseconds(100));
   // A standing queue (300 bytes) whose sojourn samples stay at or above
-  // target. The first sample arms the above-target clock, but within the
-  // interval nothing sheds.
+  // the 20 ms target. The first sample arms the above-target clock, but
+  // within the 100 ms interval nothing sheds.
   adm.on_enqueue(bulk, 300);
-  adm.on_dequeue(bulk, 100, 0, sim::milliseconds(10));
+  adm.on_dequeue(bulk, 100, 0, sim::milliseconds(20));
   EXPECT_FALSE(adm.shedding(bulk));
-  EXPECT_EQ(adm.admit(bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(bulk), Verdict::Admit);
   // Still above target a full interval later: the class sheds.
-  adm.on_dequeue(bulk, 100, sim::milliseconds(45), sim::milliseconds(60));
+  adm.on_dequeue(bulk, 100, sim::milliseconds(95), sim::milliseconds(120));
   EXPECT_TRUE(adm.shedding(bulk));
-  EXPECT_EQ(adm.admit(bulk, false), Verdict::RejectShed);
+  EXPECT_EQ(adm.admit(bulk), Verdict::RejectShed);
   EXPECT_EQ(adm.sheds(bulk), 1u);
   // One below-target sample proves the standing queue drained: reopen.
-  adm.on_dequeue(bulk, 100, sim::milliseconds(61), sim::milliseconds(62));
+  adm.on_dequeue(bulk, 100, sim::milliseconds(121), sim::milliseconds(122));
   EXPECT_FALSE(adm.shedding(bulk));
-  EXPECT_EQ(adm.admit(bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(bulk), Verdict::Admit);
 }
 
 TEST(AdmissionController, ShedReopensWhenQueueFullyDrains) {
@@ -500,18 +424,14 @@ TEST(AdmissionController, ShedReopensWhenQueueFullyDrains) {
   // dequeue samples nothing would ever clear the shed state. A fully
   // drained class must reopen even though its LAST sojourn sample was
   // still above target.
-  AdmissionOptions opts;
-  opts.enabled = true;
-  opts.shed_target = sim::milliseconds(10);
-  opts.shed_interval = sim::milliseconds(50);
-  AdmissionController adm(opts);
+  AdmissionController adm(AdmissionOptions{});
   const TrafficClass bulk = TrafficClass::Bulk;
   adm.on_enqueue(bulk, 200);
   adm.on_dequeue(bulk, 100, 0, sim::milliseconds(20));
-  adm.on_dequeue(bulk, 100, sim::milliseconds(80), sim::milliseconds(100));
+  adm.on_dequeue(bulk, 100, sim::milliseconds(100), sim::milliseconds(120));
   EXPECT_TRUE(adm.shedding(bulk));
   EXPECT_EQ(adm.queued_bytes(bulk), 0u);
-  EXPECT_EQ(adm.admit(bulk, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(bulk), Verdict::Admit);
   EXPECT_FALSE(adm.shedding(bulk));
 }
 
@@ -519,33 +439,20 @@ TEST(AdmissionController, LatencyShedsOnlyWhileBulkSheds) {
   // Graceful degradation is structural: latency CoDel state alone never
   // rejects — bulk must be shedding too, so load is always stripped from
   // the bottom of the priority order first.
-  AdmissionOptions opts;
-  opts.enabled = true;
-  opts.shed_target = sim::milliseconds(10);
-  opts.shed_interval = sim::milliseconds(50);
-  AdmissionController adm(opts);
+  AdmissionController adm(AdmissionOptions{});
   // Leaves 100 bytes standing so the reopen-on-drain exit does not clear
   // the shed state between assertions.
   const auto push_above = [&](TrafficClass cls) {
     adm.on_enqueue(cls, 300);
     adm.on_dequeue(cls, 100, 0, sim::milliseconds(20));
-    adm.on_dequeue(cls, 100, sim::milliseconds(80), sim::milliseconds(100));
+    adm.on_dequeue(cls, 100, sim::milliseconds(100), sim::milliseconds(120));
   };
   push_above(TrafficClass::Latency);
   EXPECT_TRUE(adm.shedding(TrafficClass::Latency));
-  EXPECT_EQ(adm.admit(TrafficClass::Latency, false), Verdict::Admit);
+  EXPECT_EQ(adm.admit(TrafficClass::Latency), Verdict::Admit);
   push_above(TrafficClass::Bulk);
-  EXPECT_EQ(adm.admit(TrafficClass::Latency, false), Verdict::RejectShed);
-  EXPECT_EQ(adm.admit(TrafficClass::Bulk, false), Verdict::RejectShed);
-}
-
-TEST(AdmissionOptions, ValidateRejectsNonPositiveTimes) {
-  AdmissionOptions opts;
-  opts.shed_target = 0;
-  EXPECT_THROW(opts.validate(), util::PanicError);
-  opts.shed_target = sim::milliseconds(1);
-  opts.shed_interval = -1;
-  EXPECT_THROW(opts.validate(), util::PanicError);
+  EXPECT_EQ(adm.admit(TrafficClass::Latency), Verdict::RejectShed);
+  EXPECT_EQ(adm.admit(TrafficClass::Bulk), Verdict::RejectShed);
 }
 
 // --- Adaptive window under loss --------------------------------------------
