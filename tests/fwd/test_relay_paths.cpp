@@ -7,7 +7,9 @@
 // crashing mid-message, a striped rail repairing around a crashed gateway,
 // a writer rerouting before its first block because another writer already
 // declared its next hop dead, and a writer refused at its first gateway's
-// admission gate.
+// admission gate; and the receiver side (the Receiver cases): plain and
+// lossy reliable striped receives, and a windowed reader adopting a
+// replayed stream while another origin's message waits in its stash.
 //
 // Each case delivers byte-exact and pins the exact virtual delivery time
 // and every node's GatewayStats. The simulation is deterministic, so a
@@ -351,6 +353,161 @@ Outcome origin_reject() {
   return outcome_of(*rig.vc, 7, times);
 }
 
+// ---------------------------------------------------------- receiver side
+// The paths where a final receiver parses stream heads and claims parked
+// messages: striped receives (rail 0 from the regular channel, rails >= 1
+// from the rail inbox), and a windowed reader adopting a replayed stream
+// while another origin's message waits in its stash.
+
+/// Two plain striped messages from m0 to s0, the second sent once the
+/// first is through: the receiver claims rail 1 of each by its stripe id.
+Outcome plain_striped_pair() {
+  VcOptions options;
+  options.paquet_size = 16 * 1024;
+  options.max_rails = 2;
+  DisjointRailRig rig(options);
+  const auto times = run_transfers(
+      rig.engine, [&rig](NodeRank r) -> VcEndpoint& { return rig.ep(r); },
+      {{0, 3, 1 << 20}, {0, 3, 256 * 1024, sim::milliseconds(30)}});
+  return outcome_of(*rig.vc, 4, times);
+}
+
+/// A reliable window-4 striped transfer with 3% payload loss on every
+/// network: both rails retransmit, and boundary drains discard what the
+/// losses leave in front of the next head.
+Outcome reliable_striped_lossy() {
+  VcOptions options = reliable_options(4);
+  options.max_rails = 2;
+  DisjointRailRig rig(options);
+  std::uint64_t seed = 11;
+  for (net::Network* network : {&rig.myri_a, &rig.myri_b, &rig.sci}) {
+    net::FaultPlan plan;
+    plan.seed = seed++;
+    plan.drop_rate = 0.03;
+    network->set_fault_plan(plan);
+  }
+  const auto times = run_transfers(
+      rig.engine, [&rig](NodeRank r) -> VcEndpoint& { return rig.ep(r); },
+      {{0, 3, 1 << 20}});
+  return outcome_of(*rig.vc, 4, times);
+}
+
+/// netA(o, g1, g2) — netB(g1, g2, r) — netC(r, y): o reaches r through g1
+/// or g2 over netB, while y reaches r natively over netC, a channel of its
+/// own. Ranks: o=0, g1=1, g2=2, r=3, y=4. NIC indices: netA{o=0, g1=1,
+/// g2=2}, netB{g1=0, g2=1, r=2}, netC{r=0, y=1}.
+struct StashRig {
+  explicit StashRig(VcOptions options)
+      : fabric(engine),
+        net_a(fabric.add_network("netA", net::bip_myrinet())),
+        net_b(fabric.add_network("netB", net::sisci_sci())),
+        net_c(fabric.add_network("netC", net::bip_myrinet())) {
+    const auto host = [this](const std::string& name,
+                             std::vector<net::Network*> nets) {
+      net::Host& h = fabric.add_host(name);
+      for (net::Network* n : nets) {
+        h.add_nic(*n);
+      }
+      hosts.push_back(&h);
+    };
+    host("o", {&net_a});
+    host("g1", {&net_a, &net_b});
+    host("g2", {&net_a, &net_b});
+    host("r", {&net_b, &net_c});
+    host("y", {&net_c});
+    domain.emplace(fabric);
+    for (net::Host* h : hosts) {
+      domain->add_node(*h);
+    }
+    vc.emplace(*domain, "vc",
+               std::vector<net::Network*>{&net_a, &net_b, &net_c}, options);
+  }
+
+  VcEndpoint& ep(NodeRank rank) { return vc->endpoint(rank); }
+
+  sim::Engine engine;
+  net::Fabric fabric;
+  net::Network& net_a;
+  net::Network& net_b;
+  net::Network& net_c;
+  std::vector<net::Host*> hosts;
+  std::optional<Domain> domain;
+  std::optional<VirtualChannel> vc;
+};
+
+/// o sends r 1 MB at window 4 and g1 crashes at 8 ms, mid-message; y sends
+/// r a native message at 9 ms. r's reader adopts o's replay via g2 and
+/// stashes y's message while it waits. With `by_deadline` y sends a second
+/// message at 10 ms and r takes y's messages with begin_unpacking_until:
+/// the stashed one first, then the second from the inbox, then a call that
+/// times out (its deadline is the last pinned time).
+Outcome adopt_past_stash(bool by_deadline) {
+  StashRig rig(reliable_options(4));
+  const sim::Time crash_at = sim::milliseconds(8);
+  net::FaultPlan a_plan;
+  a_plan.crashes.push_back({/*nic_index=*/1, crash_at});  // g1 on netA
+  rig.net_a.set_fault_plan(a_plan);
+  net::FaultPlan b_plan;
+  b_plan.crashes.push_back({/*nic_index=*/0, crash_at});  // g1 on netB
+  rig.net_b.set_fault_plan(b_plan);
+  util::Rng rng(77);
+  const auto big = rng.bytes(1 << 20);
+  const std::vector<std::vector<std::byte>> small = {rng.bytes(4096),
+                                                     rng.bytes(2048)};
+  const std::size_t small_count = by_deadline ? 2 : 1;
+  std::vector<sim::Time> times;
+  rig.engine.spawn("tx.o", [&] {
+    auto msg = rig.ep(0).begin_packing(3);
+    msg.pack(util::ByteSpan(big));
+    msg.end_packing();
+  });
+  rig.engine.spawn("tx.y", [&] {
+    for (std::size_t i = 0; i < small_count; ++i) {
+      rig.engine.sleep_until(sim::milliseconds(9 + static_cast<int>(i)));
+      auto msg = rig.ep(4).begin_packing(3);
+      msg.pack(util::ByteSpan(small[i]));
+      msg.end_packing();
+    }
+  });
+  rig.engine.spawn("rx.r", [&] {
+    VcEndpoint& r = rig.ep(3);
+    {
+      std::vector<std::byte> out(big.size());
+      auto msg = r.begin_unpacking();
+      EXPECT_EQ(msg.source(), 0);
+      msg.unpack(out);
+      msg.end_unpacking();
+      EXPECT_EQ(out, big);
+      times.push_back(rig.engine.now());
+    }
+    const auto next = [&]() -> std::optional<VcMessageReader> {
+      if (by_deadline) {
+        return r.begin_unpacking_until(rig.engine.now() +
+                                       sim::milliseconds(50));
+      }
+      return r.begin_unpacking();
+    };
+    for (std::size_t i = 0; i < small_count; ++i) {
+      std::optional<VcMessageReader> msg = next();
+      ASSERT_TRUE(msg.has_value()) << "y message " << i;
+      EXPECT_EQ(msg->source(), 4);
+      std::vector<std::byte> out(small[i].size());
+      msg->unpack(out);
+      msg->end_unpacking();
+      EXPECT_EQ(out, small[i]) << "y message " << i;
+      times.push_back(rig.engine.now());
+    }
+    if (by_deadline) {
+      EXPECT_FALSE(r.begin_unpacking_until(rig.engine.now() +
+                                           sim::milliseconds(1)));
+      times.push_back(rig.engine.now());
+    }
+  });
+  rig.engine.run();
+  EXPECT_TRUE(rig.vc->is_dead(1));
+  return outcome_of(*rig.vc, 5, times);
+}
+
 struct RelayCase {
   const char* name;
   std::function<Outcome()> run;
@@ -464,6 +621,40 @@ INSTANTIATE_TEST_SUITE_P(
                     "msgs=2 paquets=38 bytes=589824 marks=22 adm_rejects=5 "
                     "acked=42 stale=20",
                     "", "acked=35 cmarks=22", "", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}}),
+    [](const ::testing::TestParamInfo<RelayCase>& info) {
+      return std::string(info.param.name);
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    Receiver, RelayPaths,
+    ::testing::Values(
+        RelayCase{"PlainStripedPair",
+                  plain_striped_pair,
+                  {{16416347, 34398851},
+                   {"", "msgs=2 paquets=40 bytes=655360",
+                    "msgs=2 paquets=40 bytes=655360", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}},
+        RelayCase{"ReliableStripedLossy",
+                  reliable_striped_lossy,
+                  {{31773554},
+                   {"acked=132 rtx=2 fast_rtx=2",
+                    "paquets=33 bytes=524800 acked=66 rtx=2 fast_rtx=2",
+                    "paquets=32 bytes=523776 acked=64", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}},
+        RelayCase{"Window4AdoptPastStash",
+                  [] { return adopt_past_stash(false); },
+                  {{631713831, 631783892},
+                   {"acked=85 rtx=5 timeouts=6 failovers=1 dead=1",
+                    "paquets=21 bytes=343728 acked=17 rtx=5 timeouts=6",
+                    "msgs=1 paquets=65 bytes=1048576 acked=67", "", ""},
+                   "writes=0 rendezvous=0 hits=0 misses=0"}},
+        RelayCase{"StashServedFirstByDeadline",
+                  [] { return adopt_past_stash(true); },
+                  {{631713831, 631783892, 631831045, 632831045},
+                   {"acked=85 rtx=5 timeouts=6 failovers=1 dead=1",
+                    "paquets=21 bytes=343728 acked=17 rtx=5 timeouts=6",
+                    "msgs=1 paquets=65 bytes=1048576 acked=67", "", ""},
                    "writes=0 rendezvous=0 hits=0 misses=0"}}),
     [](const ::testing::TestParamInfo<RelayCase>& info) {
       return std::string(info.param.name);
