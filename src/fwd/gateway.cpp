@@ -199,33 +199,25 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// mid-message, and the origin replays on a surviving route.
   void relay_stream(MessageReader& in) {
     try {
-      // Reliable boundary parse: skips late retransmits and ghost framing
-      // of streams this relay already completed.
-      std::optional<GtmMsgHeader> header;
-      const Preamble preamble =
-          vc_.reliable() ? vc_.read_stream_head(in, in_channel_, self_, header)
-                         : read_preamble(in);
-      MAD_ASSERT(preamble.forwarded != 0,
+      // The whole head; in reliable mode the parse also skips late
+      // retransmits and ghost framing of streams this relay completed.
+      const StreamHead head =
+          vc_.read_stream_head(in, in_channel_, self_, /*whole=*/true);
+      MAD_ASSERT(head.preamble.forwarded != 0,
                  "native message on a special channel");
-      relay_message(std::move(in), header);
+      relay_message(std::move(in), *head.header, head.stripe);
     } catch (const PeerDied&) {
     }
   }
 
  private:
-  void relay_message(MessageReader in, std::optional<GtmMsgHeader> pre_hdr) {
-    // In reliable mode relay_stream already parsed the header (its epoch
-    // feeds the ghost filter in read_stream_head).
-    const GtmMsgHeader hdr = pre_hdr ? *pre_hdr : read_msg_header(in);
-    // A striped rail carries its GtmStripeHeader on every hop; the relay
-    // forwards it verbatim. Rail identity is implied by the channel pair
-    // this relay serves, so the pipeline below needs no other change.
-    std::optional<GtmStripeHeader> stripe;
-    if ((hdr.flags & kGtmFlagStriped) != 0) {
-      stripe = read_stripe_header(in);
-      MAD_ASSERT(stripe->rail == static_cast<std::uint16_t>(rail_),
-                 "rail relayed on the wrong stripe channel");
-    }
+  /// A striped rail carries its GtmStripeHeader on every hop; the relay
+  /// forwards it verbatim. Rail identity is implied by the channel pair
+  /// this relay serves, so the pipeline below needs no other change.
+  void relay_message(MessageReader in, const GtmMsgHeader& hdr,
+                     const std::optional<GtmStripeHeader>& stripe) {
+    MAD_ASSERT(!stripe || stripe->rail == static_cast<std::uint16_t>(rail_),
+               "rail relayed on the wrong stripe channel");
     const auto dst = static_cast<NodeRank>(hdr.final_dst);
     MAD_ASSERT(dst != self_,
                "message to the gateway itself must use a regular channel");

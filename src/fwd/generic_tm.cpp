@@ -93,12 +93,23 @@ void write_stripe_header(MessageWriter& writer, const GtmStripeHeader& header) {
   writer.pack_value(header);
 }
 
-GtmStripeHeader read_stripe_header(MessageReader& reader) {
-  GtmStripeHeader header = reader.unpack_value<GtmStripeHeader>();
+void check_stripe_header(const GtmStripeHeader& header) {
   MAD_ASSERT(header.rails > 0 && header.rail < header.rails,
              "bad rail index on the wire");
   MAD_ASSERT(header.share > 0, "zero stripe share on the wire");
-  return header;
+}
+
+void read_head_rest(MessageReader& reader, StreamHead& head) {
+  if (head.preamble.forwarded == 0) {
+    return;
+  }
+  if (!head.header) {
+    head.header = read_msg_header(reader);
+  }
+  if ((head.header->flags & kGtmFlagStriped) != 0 && !head.stripe) {
+    head.stripe = reader.unpack_value<GtmStripeHeader>();
+    check_stripe_header(*head.stripe);
+  }
 }
 
 std::uint64_t fragment_count(std::uint64_t size, std::uint32_t mtu) {

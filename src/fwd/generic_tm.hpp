@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mad/message.hpp"
@@ -89,6 +90,16 @@ struct GtmStripeHeader {
   std::uint32_t share = 0;
 };
 
+/// The framing at the head of every stream on a virtual channel's real
+/// channels, as far as a receiver has read it: the preamble, then on a
+/// forwarded stream its GTM message header, then on a striped rail its
+/// stripe header.
+struct StreamHead {
+  Preamble preamble;
+  std::optional<GtmMsgHeader> header;
+  std::optional<GtmStripeHeader> stripe;
+};
+
 /// Reliable-mode paquet trailer, appended to every GTM element payload.
 /// The checksum covers the payload bytes *and* (seq, epoch), so a flipped
 /// trailer field is caught as corruption rather than misread as a
@@ -143,7 +154,14 @@ void write_block_header(MessageWriter& writer, const GtmBlockHeader& header);
 GtmBlockHeader read_block_header(MessageReader& reader);
 
 void write_stripe_header(MessageWriter& writer, const GtmStripeHeader& header);
-GtmStripeHeader read_stripe_header(MessageReader& reader);
+/// Panics unless `header` names a rail of a valid stripe (rail < rails,
+/// nonzero share).
+void check_stripe_header(const GtmStripeHeader& header);
+
+/// Reads, from a plain stream, what `head` still lacks after its preamble:
+/// the GTM message header of a forwarded stream, then the stripe header of
+/// a striped rail. A no-op on a native stream or a complete head.
+void read_head_rest(MessageReader& reader, StreamHead& head);
 
 /// Number of MTU-sized fragments of a block.
 std::uint64_t fragment_count(std::uint64_t size, std::uint32_t mtu);

@@ -23,16 +23,17 @@
 // retransmit — the same virtual-time event sequence, retransmit counts and
 // traces as the original implementation.
 //
-// Only the preamble, the GTM message header and the channel announce stay
-// outside this framing: they bootstrap the per-hop stream. A framing
-// paquet lost to a *transient* fault window (not a dead hop) would
-// desynchronize the stream forever — nothing retransmits it — so every
-// retransmission of paquet 0 re-sends the framing prologue in front of it
-// (set_framing below) and the receive side reads headers tolerantly,
-// skipping duplicated framing and unacknowledged stray data paquets
-// (VirtualChannel::read_stream_head). Losing the framing to a
-// genuine crash still starves the first paquet's ack, so the sender
-// detects the dead hop via the first paquet's retry budget as before.
+// Only the preamble, the GTM message header, a striped rail's stripe
+// header and the channel announce stay outside this framing: they
+// bootstrap the per-hop stream. A framing paquet lost to a *transient*
+// fault window (not a dead hop) would desynchronize the stream forever —
+// nothing retransmits it — so every retransmission of paquet 0 re-sends
+// the framing prologue in front of it (set_framing below) and every
+// receiver reads the whole head tolerantly, skipping duplicated framing
+// and unacknowledged stray data paquets (VirtualChannel::read_stream_head).
+// Losing the framing to a genuine crash still starves the first paquet's
+// ack, so the sender detects the dead hop via the first paquet's retry
+// budget as before.
 #pragma once
 
 #include <cstdint>

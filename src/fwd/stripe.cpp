@@ -289,46 +289,40 @@ void Striper::run_rail(std::size_t index) {
 
 // ------------------------------------------------------------- Reassembler
 
-Reassembler::Reassembler(VcEndpoint& endpoint, VcIncoming& rail0,
-                         const GtmMsgHeader& header,
-                         const GtmStripeHeader& stripe)
+Reassembler::Reassembler(VcEndpoint& endpoint, VcIncoming& rail0)
     : vc_(endpoint.vc()),
       self_(endpoint.rank()),
       mtu_(endpoint.vc().mtu()),
-      reliable_((header.flags & kGtmFlagReliable) != 0),
+      reliable_((rail0.head.header->flags & kGtmFlagReliable) != 0),
       progress_(endpoint.vc().domain().engine(),
                 endpoint.vc().name() + ".rxprogress." +
                     std::to_string(endpoint.rank())) {
+  const GtmMsgHeader& header = *rail0.head.header;
+  const GtmStripeHeader& stripe = *rail0.head.stripe;
   MAD_ASSERT(stripe.rails >= 2, "striped message with fewer than two rails");
-  std::vector<std::uint32_t> shares(stripe.rails, 0);
-  shares[0] = stripe.share;
-  owned_.reserve(stripe.rails - 1u);
-  for (std::uint16_t r = 1; r < stripe.rails; ++r) {
-    StripeIncoming inc =
-        endpoint.collect_rail(header.origin, stripe.stripe_id, r);
-    MAD_ASSERT(inc.header.final_dst == static_cast<std::uint32_t>(self_),
-               "striped rail delivered to the wrong node");
-    MAD_ASSERT(inc.header.origin == header.origin,
-               "striped rail origin mismatch");
-    MAD_ASSERT(inc.header.mtu == header.mtu, "striped rail MTU mismatch");
-    MAD_ASSERT(inc.header.flags == header.flags,
-               "striped rail flags mismatch");
-    MAD_ASSERT(inc.stripe.rails == stripe.rails,
-               "striped rail count mismatch");
-    shares[r] = inc.stripe.share;
-    owned_.push_back(std::move(inc));
-  }
+  std::vector<std::uint32_t> shares;
+  owned_.reserve(stripe.rails - 1u);  // rails_ keeps pointers into it
   rails_.resize(stripe.rails);
-  rails_[0].reader = &rail0.reader;
-  rails_[0].channel = rail0.channel;
-  rails_[0].peer = rail0.reader.source();
-  rails_[0].epoch = header.epoch;
-  for (std::size_t r = 1; r < rails_.size(); ++r) {
-    StripeIncoming& inc = owned_[r - 1];
-    rails_[r].reader = &inc.reader;
-    rails_[r].channel = inc.channel;
-    rails_[r].peer = inc.reader.source();
-    rails_[r].epoch = inc.header.epoch;
+  for (std::uint16_t r = 0; r < stripe.rails; ++r) {
+    if (r > 0) {
+      owned_.push_back(
+          endpoint.collect_rail(header.origin, stripe.stripe_id, r));
+    }
+    VcIncoming& inc = r == 0 ? rail0 : owned_.back();
+    const GtmMsgHeader& h = *inc.head.header;
+    MAD_ASSERT(h.final_dst == static_cast<std::uint32_t>(self_),
+               "striped rail delivered to the wrong node");
+    MAD_ASSERT(h.origin == header.origin, "striped rail origin mismatch");
+    MAD_ASSERT(h.mtu == header.mtu, "striped rail MTU mismatch");
+    MAD_ASSERT(h.flags == header.flags, "striped rail flags mismatch");
+    MAD_ASSERT(inc.head.stripe->rails == stripe.rails,
+               "striped rail count mismatch");
+    shares.push_back(inc.head.stripe->share);
+    RailRx& rx = rails_[r];
+    rx.reader = &inc.reader;
+    rx.channel = inc.channel;
+    rx.peer = inc.reader.source();
+    rx.epoch = h.epoch;
   }
   schedule_ = StripeSchedule(std::move(shares));
   if (reliable_) {
@@ -432,7 +426,7 @@ void Reassembler::end_unpacking() {
   join();
   // Close and release the stripe-channel rails; rail 0 stays open for the
   // owning VcMessageReader to close.
-  for (StripeIncoming& inc : owned_) {
+  for (VcIncoming& inc : owned_) {
     inc.reader.end_unpacking();
     inc.done->notify_all();
   }

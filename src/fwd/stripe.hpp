@@ -151,9 +151,9 @@ class Striper {
 
 /// Receiver side: collects the k rail messages of one striped transfer
 /// (rail 0 arrives on the regular channel and is owned by the
-/// VcMessageReader; rails >= 1 are claimed from the endpoint's stripe
-/// inbox by (origin, stripe_id, rail)), then replays the sender's chunk
-/// schedule to split unpack() destinations into per-rail chunk jobs.
+/// VcMessageReader; rails >= 1 are claimed from the endpoint's rail inbox
+/// by (origin, stripe_id, rail)), then replays the sender's chunk schedule
+/// to split unpack() destinations into per-rail chunk jobs.
 ///
 /// One reader actor per rail drains its stream CONCURRENTLY with the
 /// others — chunk destinations of different rails are disjoint spans, and
@@ -163,8 +163,9 @@ class Striper {
 /// win. unpack() returns once every chunk of that destination landed.
 class Reassembler {
  public:
-  Reassembler(VcEndpoint& endpoint, VcIncoming& rail0,
-              const GtmMsgHeader& header, const GtmStripeHeader& stripe);
+  /// `rail0` carries the whole head of rail 0 (VcMessageReader completed
+  /// it); every rail's header and share come from its parked head.
+  Reassembler(VcEndpoint& endpoint, VcIncoming& rail0);
 
   void unpack(util::MutByteSpan dst, SendMode smode, RecvMode rmode);
 
@@ -212,7 +213,7 @@ class Reassembler {
   NodeRank self_;
   std::uint32_t mtu_;
   bool reliable_ = false;
-  std::vector<StripeIncoming> owned_;  // rails 1..k-1, in rail order
+  std::vector<VcIncoming> owned_;  // rails 1..k-1, in rail order
   std::vector<RailRx> rails_;          // all k rails, rail 0 first
   StripeSchedule schedule_;
   sim::Condition progress_;

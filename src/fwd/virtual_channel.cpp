@@ -200,21 +200,17 @@ void VirtualChannel::read_framing_tolerant(MessageReader& reader,
   }
 }
 
-GtmStripeHeader VirtualChannel::read_stripe_header_tolerant(
-    MessageReader& reader, Channel& channel, NodeRank self) {
-  GtmStripeHeader header{};
-  read_framing_tolerant(reader, channel, self, util::object_bytes_mut(header));
-  MAD_ASSERT(header.rails > 0 && header.rail < header.rails,
-             "bad rail index on the wire");
-  MAD_ASSERT(header.share > 0, "zero stripe share on the wire");
-  return header;
-}
-
-Preamble VirtualChannel::read_stream_head(MessageReader& reader,
-                                          Channel& channel, NodeRank self,
-                                          std::optional<GtmMsgHeader>& header,
-                                          GtmStripeHeader* stripe) {
-  header.reset();
+StreamHead VirtualChannel::read_stream_head(MessageReader& reader,
+                                            Channel& channel, NodeRank self,
+                                            bool whole) {
+  StreamHead head;
+  if (!reliable()) {
+    head.preamble = read_preamble(reader);
+    if (whole) {
+      read_head_rest(reader, head);
+    }
+    return head;
+  }
   const NodeRank peer = reader.source();
   util::BufferLease scratch(scratch_arena_,
                             static_cast<std::size_t>(mtu_) +
@@ -244,12 +240,12 @@ Preamble VirtualChannel::read_stream_head(MessageReader& reader,
       std::memcpy(&p, scratch.data(), sizeof(Preamble));
       preamble = p;
       if (p.forwarded == 0) {
-        return p;  // native stream: no GTM header follows
+        head.preamble = p;
+        return head;  // native stream: no GTM header follows
       }
       continue;
     }
-    if (got == static_cast<std::uint32_t>(sizeof(GtmMsgHeader)) && preamble &&
-        !header) {
+    if (got == static_cast<std::uint32_t>(sizeof(GtmMsgHeader)) && preamble) {
       GtmMsgHeader h;
       std::memcpy(&h, scratch.data(), sizeof(GtmMsgHeader));
       if ((h.flags & kGtmFlagReliable) != 0) {
@@ -265,12 +261,16 @@ Preamble VirtualChannel::read_stream_head(MessageReader& reader,
           continue;
         }
       }
-      header = h;
-      if (stripe == nullptr) {
-        return *preamble;
+      head.preamble = *preamble;
+      head.header = h;
+      if ((h.flags & kGtmFlagStriped) != 0) {
+        GtmStripeHeader stripe{};
+        read_framing_tolerant(reader, channel, self,
+                              util::object_bytes_mut(stripe));
+        check_stripe_header(stripe);
+        head.stripe = stripe;
       }
-      *stripe = read_stripe_header_tolerant(reader, channel, self);
-      return *preamble;
+      return head;
     }
     // Anything else — wrong-sized junk, or a header with no preamble in
     // front of it — is a leftover of the previous stream.
@@ -616,81 +616,34 @@ void VirtualChannel::spawn_pollers() {
   sim::Engine& engine = domain_.engine();
   for (const auto& [rank, endpoint] : endpoints_) {
     for (const int local : topology_->networks_of(rank)) {
-      Channel& channel = regular_channel(local, rank);
-      VcEndpoint* ep = endpoint.get();
-      const std::string actor_name = name_ + ".poll." + std::to_string(rank) +
-                                     "." + network(local).name();
-      engine.spawn(
-          actor_name,
-          [this, &channel, ep, actor_name] {
-            sim::Engine& eng = domain_.engine();
-            for (;;) {
-              channel.wait_incoming();
-              MessageReader reader = channel.begin_unpacking();
-              Preamble preamble{};
-              std::optional<GtmMsgHeader> header;
-              if (options_.reliable.enabled) {
-                // Boundary parse: skips late retransmits and ghost framing
-                // of finished streams; pre-reads the GTM header of a
-                // forwarded message (the ghost filter needs its epoch).
-                preamble =
-                    read_stream_head(reader, channel, ep->rank(), header);
-              } else {
-                preamble = read_preamble(reader);
-              }
-              auto done =
-                  std::make_shared<sim::Condition>(eng, actor_name + ".done");
-              ep->inbox().send(VcIncoming{std::move(reader), preamble,
-                                          header, &channel, done});
-              // Serialize messages per real channel: the next
-              // begin_unpacking would otherwise steal packets of the
-              // message the application is still consuming.
-              done->wait();
-            }
-          },
-          /*daemon=*/true);
-      // Stripe-channel pollers (rails >= 1): read all three bootstrap
-      // headers so the park is already matchable by (origin, stripe_id,
-      // rail), then serialize per channel exactly like the regular poller.
-      for (int rail = 1; rail < options_.max_rails; ++rail) {
-        Channel& stripe_channel = rail_regular_channel(local, rail, rank);
-        const std::string stripe_name = name_ + ".stpoll" +
-                                        std::to_string(rail) + "." +
-                                        std::to_string(rank) + "." +
-                                        network(local).name();
+      // One poller per rail's regular channel. Rail 0 parks into the inbox
+      // begin_unpacking serves; rails >= 1 park their whole head into the
+      // rail inbox, where reassemblers claim them.
+      for (int rail = 0; rail < options_.max_rails; ++rail) {
+        Channel& channel = rail_regular_channel(local, rail, rank);
+        VcEndpoint* ep = endpoint.get();
+        const std::string actor_name =
+            name_ + (rail == 0 ? ".poll" : ".stpoll" + std::to_string(rail)) +
+            "." + std::to_string(rank) + "." + network(local).name();
         engine.spawn(
-            stripe_name,
-            [this, &stripe_channel, ep, stripe_name, rail] {
+            actor_name,
+            [this, &channel, ep, actor_name, rail] {
               sim::Engine& eng = domain_.engine();
               for (;;) {
-                stripe_channel.wait_incoming();
-                MessageReader reader = stripe_channel.begin_unpacking();
-                Preamble preamble{};
-                GtmMsgHeader header{};
-                GtmStripeHeader stripe{};
-                if (options_.reliable.enabled) {
-                  std::optional<GtmMsgHeader> h;
-                  preamble = read_stream_head(reader, stripe_channel,
-                                              ep->rank(), h, &stripe);
-                  MAD_ASSERT(h.has_value(),
-                             "native message on a stripe channel");
-                  header = *h;
-                } else {
-                  preamble = read_preamble(reader);
-                  MAD_ASSERT(preamble.forwarded != 0,
-                             "native message on a stripe channel");
-                  header = read_msg_header(reader);
-                  stripe = read_stripe_header(reader);
-                }
-                MAD_ASSERT((header.flags & kGtmFlagStriped) != 0,
-                           "non-striped message on a stripe channel");
-                MAD_ASSERT(stripe.rail == static_cast<std::uint16_t>(rail),
+                channel.wait_incoming();
+                MessageReader reader = channel.begin_unpacking();
+                const StreamHead head = read_stream_head(
+                    reader, channel, ep->rank(), /*whole=*/rail > 0);
+                MAD_ASSERT(rail == 0 || (head.stripe && head.stripe->rail ==
+                                             static_cast<std::uint16_t>(rail)),
                            "rail delivered on the wrong stripe channel");
-                auto done = std::make_shared<sim::Condition>(
-                    eng, stripe_name + ".done");
-                ep->stripe_inbox().send(StripeIncoming{
-                    std::move(reader), preamble, header, stripe,
-                    &stripe_channel, done});
+                auto done =
+                    std::make_shared<sim::Condition>(eng, actor_name + ".done");
+                (rail == 0 ? ep->inbox() : ep->rail_inbox())
+                    .send(VcIncoming{std::move(reader), head, &channel, done});
+                // Serialize messages per real channel: the next
+                // begin_unpacking would otherwise steal packets of the
+                // message the application is still consuming.
                 done->wait();
               }
             },
@@ -709,83 +662,82 @@ VcEndpoint::VcEndpoint(VirtualChannel& vc, NodeRank rank)
       rank_(rank),
       inbox_(vc.domain().engine(), /*capacity=*/0,
              vc.name() + ".inbox." + std::to_string(rank)),
-      stripe_inbox_(vc.domain().engine(), /*capacity=*/0,
-                    vc.name() + ".stinbox." + std::to_string(rank)) {}
+      rail_inbox_(vc.domain().engine(), /*capacity=*/0,
+                  vc.name() + ".stinbox." + std::to_string(rank)) {}
 
-StripeIncoming VcEndpoint::collect_rail(std::uint32_t origin,
-                                        std::uint32_t stripe_id,
-                                        std::uint16_t rail) {
-  const auto matches = [&](const StripeIncoming& inc) {
-    return inc.preamble.origin == origin && inc.stripe.stripe_id == stripe_id &&
-           inc.stripe.rail == rail;
-  };
-  for (auto it = stripe_pending_.begin(); it != stripe_pending_.end(); ++it) {
-    if (matches(*it)) {
-      StripeIncoming inc = std::move(*it);
-      stripe_pending_.erase(it);
+namespace {
+
+/// The one claim routine of VcEndpoint: the oldest message in `pending`
+/// that `match` accepts, else the first one to arrive in `inbox` by
+/// `deadline` (nullopt past it), stashing the arrivals it passes over in
+/// `pending`.
+template <class Match>
+std::optional<VcIncoming> claim(sim::Mailbox<VcIncoming>& inbox,
+                                std::list<VcIncoming>& pending,
+                                sim::Time deadline, Match match) {
+  for (auto it = pending.begin(); it != pending.end(); ++it) {
+    if (match(*it)) {
+      VcIncoming inc = std::move(*it);
+      pending.erase(it);
       return inc;
     }
   }
   for (;;) {
-    StripeIncoming inc = stripe_inbox_.recv();
-    if (matches(inc)) {
+    auto inc = inbox.recv_until(deadline);
+    if (!inc || match(*inc)) {
       return inc;
     }
-    stripe_pending_.push_back(std::move(inc));
+    pending.push_back(std::move(*inc));
   }
+}
+
+bool any_message(const VcIncoming&) { return true; }
+
+}  // namespace
+
+VcIncoming VcEndpoint::collect_rail(std::uint32_t origin,
+                                    std::uint32_t stripe_id,
+                                    std::uint16_t rail) {
+  return *claim(rail_inbox_, rail_pending_, sim::kForever,
+                [&](const VcIncoming& inc) {
+                  return inc.head.preamble.origin == origin &&
+                         inc.head.stripe->stripe_id == stripe_id &&
+                         inc.head.stripe->rail == rail;
+                });
 }
 
 std::optional<VcIncoming> VcEndpoint::collect_replacement(
     NodeRank origin, sim::Time deadline) {
-  const auto matches = [&](const VcIncoming& inc) {
-    return inc.preamble.forwarded != 0 &&
-           inc.preamble.origin == static_cast<std::uint32_t>(origin);
-  };
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (matches(*it)) {
-      VcIncoming inc = std::move(*it);
-      pending_.erase(it);
-      return inc;
-    }
-  }
-  for (;;) {
-    auto inc = inbox_.recv_until(deadline);
-    if (!inc) {
-      return std::nullopt;
-    }
-    if (matches(*inc)) {
-      return std::move(*inc);
-    }
-    pending_.push_back(std::move(*inc));
-  }
+  return claim(inbox_, pending_, deadline, [&](const VcIncoming& inc) {
+    return inc.head.preamble.forwarded != 0 &&
+           inc.head.preamble.origin == static_cast<std::uint32_t>(origin);
+  });
 }
 
 VcMessageWriter VcEndpoint::begin_packing(NodeRank dst) {
   return VcMessageWriter(vc_, rank_, dst);
 }
 
-std::optional<VcIncoming> VcEndpoint::take_pending() {
-  std::optional<VcIncoming> inc(std::move(pending_.front()));
-  pending_.pop_front();
-  return inc;
-}
-
 VcMessageReader VcEndpoint::begin_unpacking() {
-  return VcMessageReader(*this,
-                         pending_.empty() ? inbox_.recv() : *take_pending());
+  return VcMessageReader(
+      *this, *claim(inbox_, pending_, sim::kForever, any_message));
 }
 
 std::optional<VcMessageReader> VcEndpoint::try_begin_unpacking() {
-  auto inc = pending_.empty() ? inbox_.try_recv() : take_pending();
-  if (!inc) {
-    return std::nullopt;
+  // Never blocks, so tests may call it outside any actor.
+  if (pending_.empty()) {
+    auto inc = inbox_.try_recv();
+    if (!inc) {
+      return std::nullopt;
+    }
+    return VcMessageReader(*this, std::move(*inc));
   }
-  return VcMessageReader(*this, std::move(*inc));
+  return begin_unpacking();
 }
 
 std::optional<VcMessageReader> VcEndpoint::begin_unpacking_until(
     sim::Time deadline) {
-  auto inc = pending_.empty() ? inbox_.recv_until(deadline) : take_pending();
+  auto inc = claim(inbox_, pending_, deadline, any_message);
   if (!inc) {
     return std::nullopt;
   }
@@ -860,25 +812,21 @@ VcMessageReader::VcMessageReader(VcEndpoint& endpoint, VcIncoming incoming)
       self_(endpoint.rank()),
       mtu_(endpoint.vc().mtu()) {
   if (forwarded()) {
-    // In reliable mode the polling actor already pulled the header off the
-    // stream (its epoch drives the ghost filter); re-reading it here would
-    // desynchronize the stream.
-    gtm_header_ = incoming_->gtm_header ? *incoming_->gtm_header
-                                        : read_msg_header(incoming_->reader);
-    MAD_ASSERT(gtm_header_.final_dst ==
+    // A plain rail-0 poller parked the message after its preamble: the rest
+    // of the head is read here, in the application actor (a no-op on the
+    // whole head a reliable poller parks).
+    read_head_rest(incoming_->reader, incoming_->head);
+    MAD_ASSERT(header().final_dst ==
                    static_cast<std::uint32_t>(endpoint.rank()),
                "forwarded message delivered to the wrong node");
-    MAD_ASSERT(gtm_header_.origin == incoming_->preamble.origin,
+    MAD_ASSERT(header().origin == incoming_->head.preamble.origin,
                "preamble/GTM origin mismatch");
-    MAD_ASSERT(gtm_header_.mtu == mtu_, "GTM MTU mismatch");
-    reliable_ = (gtm_header_.flags & kGtmFlagReliable) != 0;
+    MAD_ASSERT(header().mtu == mtu_, "GTM MTU mismatch");
+    reliable_ = (header().flags & kGtmFlagReliable) != 0;
     MAD_ASSERT(reliable_ == vc_->reliable(),
                "reliable-mode mismatch between sender and receiver");
-    if (striped()) {
-      stripe_ = read_stripe_header(incoming_->reader);
-      MAD_ASSERT(stripe_.rail == 0,
-                 "rail 0 must arrive on the regular channel");
-    }
+    MAD_ASSERT(!striped() || incoming_->head.stripe->rail == 0,
+               "rail 0 must arrive on the regular channel");
   }
 }
 
@@ -887,8 +835,7 @@ VcMessageReader::~VcMessageReader() = default;
 
 void VcMessageReader::ensure_reassembler() {
   if (reassembler_ == nullptr) {
-    reassembler_ = std::make_unique<Reassembler>(*endpoint_, *incoming_,
-                                                 gtm_header_, stripe_);
+    reassembler_ = std::make_unique<Reassembler>(*endpoint_, *incoming_);
   }
 }
 
@@ -899,13 +846,14 @@ void VcMessageReader::ensure_receiver() {
     // gateways, so only it can strand a reader on a dead upstream hop.
     receiver_ = std::make_unique<ReliableReceiver>(
         *vc_, self_, *incoming_->channel, incoming_->reader.source(),
-        gtm_header_.epoch,
+        header().epoch,
         /*detect_dead=*/vc_->options().reliable.window > 1);
   }
 }
 
 void VcMessageReader::adopt() {
   const NodeRank origin = source();
+  const GtmMsgHeader abandoned = header();
   sim::Engine& engine = vc_->domain().engine();
   const sim::Time poll = vc_->options().reliable.ack_timeout;
   std::vector<std::byte> skip;
@@ -930,15 +878,12 @@ void VcMessageReader::adopt() {
         incoming_.emplace(std::move(*replacement));
       }
     }
-    MAD_ASSERT(incoming_->gtm_header.has_value(),
-               "reliable replacement stream arrived without its header");
-    const GtmMsgHeader header = *incoming_->gtm_header;
-    MAD_ASSERT(header.final_dst == gtm_header_.final_dst &&
-                   header.origin == gtm_header_.origin &&
-                   header.mtu == gtm_header_.mtu &&
-                   header.flags == gtm_header_.flags,
+    const std::optional<GtmMsgHeader>& replay = incoming_->head.header;
+    MAD_ASSERT(replay && replay->final_dst == abandoned.final_dst &&
+                   replay->origin == abandoned.origin &&
+                   replay->mtu == abandoned.mtu &&
+                   replay->flags == abandoned.flags,
                "replayed message does not match the abandoned stream");
-    gtm_header_ = header;  // fresh epoch
     next_seq_ = 0;
     ensure_receiver();
     // The origin replays the whole message; skip what was already
@@ -961,7 +906,7 @@ void VcMessageReader::adopt() {
 }
 
 NodeRank VcMessageReader::source() const {
-  return static_cast<NodeRank>(incoming_->preamble.origin);
+  return static_cast<NodeRank>(incoming_->head.preamble.origin);
 }
 
 void VcMessageReader::unpack(util::MutByteSpan dst, SendMode smode,
@@ -1019,7 +964,7 @@ void VcMessageReader::end_unpacking() {
     }
     if (reliable_) {
       vc_->complete_stream(*incoming_->channel, incoming_->reader.source(),
-                           gtm_header_.epoch, next_seq_ - 1);
+                           header().epoch, next_seq_ - 1);
     }
   }
   incoming_->reader.end_unpacking();

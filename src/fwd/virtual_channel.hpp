@@ -11,9 +11,11 @@
 // When the application sends over the virtual channel, the appropriate
 // real channel is chosen dynamically from the routing table (forwarded
 // streams go through the hop stream of fwd/hop.hpp); receiving is
-// multiplexed over all regular channels of the node by per-network polling
-// actors. Gateways additionally run forward-listener actors on the special
-// channels (src/fwd/gateway.cpp) with the pipelined retransmission engine.
+// multiplexed over all regular channels of the node by per-(network, rail)
+// polling actors. Gateways additionally run forward-listener actors on the
+// special channels (src/fwd/gateway.cpp) with the pipelined retransmission
+// engine. Every one of these receivers parses a stream's head through
+// VirtualChannel::read_stream_head.
 #pragma once
 
 #include <map>
@@ -201,21 +203,28 @@ class VirtualChannel {
   const topo::Routing& routing() const { return *routing_; }
   const topo::Topology& topology() const { return *topology_; }
 
-  /// Reliable-mode boundary parse: returns the first *genuine* stream head
-  /// on `reader` — the preamble, plus the GTM message header when the
-  /// stream is forwarded (and the stripe header too when `stripe` is
-  /// non-null, i.e. on a stripe-channel poller). Everything in front of it
-  /// is dropped with the drain accounting: late data paquets (re-acked
-  /// when their epoch completed), duplicated framing from paquet-0
-  /// retransmissions, and whole GHOST heads — framing of an epoch the
-  /// connection already finished, which would otherwise reopen a delivered
-  /// message as a new one. Safe to block: a message announce precedes this
-  /// call, and per-connection ordering puts all leftover junk of the
-  /// previous hop message before the announced message's framing.
-  Preamble read_stream_head(MessageReader& reader, Channel& channel,
-                            NodeRank self,
-                            std::optional<GtmMsgHeader>& header,
-                            GtmStripeHeader* stripe = nullptr);
+  /// The one head parse of every receiver (polling actors, gateway
+  /// listeners) on a message just accepted from `channel`.
+  ///
+  /// Plain mode reads the preamble, and with `whole` the rest of the head
+  /// too (read_head_rest). The rail-0 pollers pass `whole` = false: the
+  /// final VcMessageReader reads the rest in the application actor (read
+  /// in the poller instead, it shifts the virtual timing of the MPI
+  /// collectives bench).
+  ///
+  /// Reliable mode always reads the whole head, tolerantly: it returns the
+  /// first *genuine* head on `reader` — the preamble, then on a forwarded
+  /// stream the GTM message header, then on a striped rail the stripe
+  /// header. Everything in front of it is dropped with the drain
+  /// accounting: late data paquets (re-acked when their epoch completed),
+  /// duplicated framing from paquet-0 retransmissions, and whole GHOST
+  /// heads — framing of an epoch the connection already finished, which
+  /// would otherwise reopen a delivered message as a new one. Safe to
+  /// block: a message announce precedes this call, and per-connection
+  /// ordering puts all leftover junk of the previous hop message before
+  /// the announced message's framing.
+  StreamHead read_stream_head(MessageReader& reader, Channel& channel,
+                              NodeRank self, bool whole);
 
   /// Called by every receiver (final reader, stripe rail reader, gateway
   /// ingress) right after it consumed a reliable stream's end marker, seq
@@ -342,9 +351,6 @@ class VirtualChannel {
   /// receiver re-frames.
   void read_framing_tolerant(MessageReader& reader, Channel& channel,
                              NodeRank self, util::MutByteSpan element);
-  GtmStripeHeader read_stripe_header_tolerant(MessageReader& reader,
-                                              Channel& channel,
-                                              NodeRank self);
 
   Domain& domain_;
   std::string name_;
@@ -373,33 +379,26 @@ class VirtualChannel {
   mutable std::map<const net::Nic*, std::unique_ptr<RdmaTm>> rdma_tms_;
 };
 
-/// One message arriving at an endpoint, parked after its preamble. The
-/// polling actor that produced it waits on `done` before opening the next
-/// message of the same real channel, which serializes per-channel delivery.
+/// One message arriving at an endpoint on one rail's regular channel,
+/// parked by its polling actor with the head read_stream_head returned:
+/// the whole head in reliable mode and on rails >= 1 (so a rail is
+/// matchable by (origin, stripe_id, rail) without touching the stream),
+/// only the preamble of a plain rail-0 message, whose VcMessageReader reads
+/// the rest. The poller waits on `done` before opening the next message of
+/// the same real channel, which serializes per-channel delivery.
 struct VcIncoming {
   MessageReader reader;
-  Preamble preamble;
-  /// Read early by the polling actor for forwarded reliable messages (it
-  /// needs the epoch to filter ghost reopens from duplicated framing); the
-  /// VcMessageReader then must not read it from the stream again.
-  std::optional<GtmMsgHeader> gtm_header;
+  StreamHead head;
   Channel* channel = nullptr;
   std::shared_ptr<sim::Condition> done;
 };
 
-/// One striped rail (rail >= 1) arriving on a stripe channel, parked by
-/// its polling actor with all three bootstrap headers already read, so
-/// the reassembler can match it to its transfer by (origin, stripe_id,
-/// rail) without touching the stream.
-struct StripeIncoming {
-  MessageReader reader;
-  Preamble preamble;
-  GtmMsgHeader header;
-  GtmStripeHeader stripe;
-  Channel* channel = nullptr;
-  std::shared_ptr<sim::Condition> done;
-};
-
+/// A member node's end of the virtual channel. Writers start here, and the
+/// node's polling actors park every arriving message in one of its two
+/// inboxes: rail-0 messages in inbox(), served by begin_unpacking, and
+/// striped rails >= 1 in rail_inbox(), claimed by the reassembler of their
+/// transfer. Every receive goes through one claim routine over an (inbox,
+/// stash) pair; what a claim passes over waits in the stash.
 class VcEndpoint {
  public:
   VcEndpoint(VirtualChannel& vc, NodeRank rank);
@@ -426,8 +425,10 @@ class VcEndpoint {
     return inbox_.size() + pending_.size();
   }
 
+  /// Rail-0 messages, which begin_unpacking serves, and striped rails >= 1,
+  /// which reassemblers claim; each poller feeds one of the two.
   sim::Mailbox<VcIncoming>& inbox() { return inbox_; }
-  sim::Mailbox<StripeIncoming>& stripe_inbox() { return stripe_inbox_; }
+  sim::Mailbox<VcIncoming>& rail_inbox() { return rail_inbox_; }
 
   /// Waits (until `deadline`) for a forwarded message from `origin` — the
   /// replayed stream a reader adopts after its upstream gateway died.
@@ -438,8 +439,8 @@ class VcEndpoint {
   /// Claims the parked rail message matching (origin, stripe_id, rail),
   /// blocking until it arrives; non-matching arrivals are stashed for the
   /// reassemblers they belong to.
-  StripeIncoming collect_rail(std::uint32_t origin, std::uint32_t stripe_id,
-                              std::uint16_t rail);
+  VcIncoming collect_rail(std::uint32_t origin, std::uint32_t stripe_id,
+                          std::uint16_t rail);
 
   /// Monotonic per-origin striped-transfer id.
   std::uint32_t next_stripe_id() { return stripe_seq_++; }
@@ -448,18 +449,14 @@ class VcEndpoint {
   VirtualChannel& vc_;
   NodeRank rank_;
   sim::Mailbox<VcIncoming> inbox_;
-  sim::Mailbox<StripeIncoming> stripe_inbox_;
-  // Messages received while hunting for a replacement stream; served to
-  // later begin_unpacking calls ahead of the inbox (a list for the same
-  // move-assignability reason as stripe_pending_).
+  sim::Mailbox<VcIncoming> rail_inbox_;
+  // Arrivals passed over while hunting for a replacement stream (served to
+  // later begin_unpacking calls ahead of the inbox) and parked rails not
+  // yet claimed. Lists, so claiming one (erase) never needs VcIncoming to
+  // be move-assignable (MessageReader is not).
   std::list<VcIncoming> pending_;
-  // Parked rails not yet claimed; a list so claiming one (erase) never
-  // needs StripeIncoming to be move-assignable (MessageReader is not).
-  std::list<StripeIncoming> stripe_pending_;
+  std::list<VcIncoming> rail_pending_;
   std::uint32_t stripe_seq_ = 0;
-
-  // Pops the oldest stashed message (pending_ must be non-empty).
-  std::optional<VcIncoming> take_pending();
 };
 
 /// One outgoing message over the virtual channel. The route picks its
@@ -516,8 +513,8 @@ class VcMessageReader {
 
   /// The ORIGIN of the message (not the last gateway).
   NodeRank source() const;
-  bool forwarded() const { return incoming_->preamble.forwarded != 0; }
-  bool striped() const { return (gtm_header_.flags & kGtmFlagStriped) != 0; }
+  bool forwarded() const { return incoming_->head.preamble.forwarded != 0; }
+  bool striped() const { return incoming_->head.stripe.has_value(); }
   /// The reassembler of a striped message (per-rail paquet counts etc);
   /// exists once the first unpack ran.
   const Reassembler& reassembler() const { return *reassembler_; }
@@ -545,6 +542,9 @@ class VcMessageReader {
   // The per-hop window receiver, created lazily at the first unpack for
   // the same movability reason.
   void ensure_receiver();
+  // The GTM message header of a forwarded message (the replayed stream's
+  // after an adoption, with its fresh epoch).
+  const GtmMsgHeader& header() const { return *incoming_->head.header; }
   // The next block header (or end marker) of a forwarded stream.
   GtmBlockHeader next_block_header();
   // Reliable window > 1 only: the upstream gateway died mid-stream.
@@ -560,8 +560,6 @@ class VcMessageReader {
   VcEndpoint* endpoint_ = nullptr;
   NodeRank self_ = -1;
   std::uint32_t mtu_ = 0;
-  GtmMsgHeader gtm_header_;  // valid when forwarded()
-  GtmStripeHeader stripe_;   // valid when striped()
   std::unique_ptr<Reassembler> reassembler_;  // striped messages only
   bool ended_ = false;
   // Reliable (forwarded) mode state.
