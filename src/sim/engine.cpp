@@ -26,20 +26,87 @@ thread_local TlsActor t_current;
 Engine::Engine() = default;
 
 Engine::~Engine() {
-  {
-    std::unique_lock lock(mutex_);
-    stopping_ = true;
-  }
-  // One actor at a time: a never-dispatched thread destroys its closure
-  // on release, and two closures must not be destroyed concurrently.
+  std::unique_lock lock(mutex_);
+  stopping_ = true;
+  // One actor at a time: a never-dispatched actor destroys its closure on
+  // release, and two closures must not be destroyed concurrently.
   for (auto& a : actors_) {
     if (!a->started && a->status != Status::Finished) {
-      // Thread is parked waiting for its first dispatch; releasing it with
-      // stopping_ set makes the trampoline skip the body entirely.
-      a->gate.open();
+      // Its worker is parked waiting for the first dispatch; releasing it
+      // with stopping_ set makes the worker skip the body entirely.
+      Worker* w = a->worker;
+      lock.unlock();
+      w->gate.open();
+      lock.lock();
+      sched_cv_.wait(lock, [&a] { return a->status == Status::Finished; });
     }
-    if (a->thread.joinable()) {
-      a->thread.join();
+  }
+  lock.unlock();
+  // Every actor has finished, so no worker holds one: opening a gate with
+  // no actor to run ends that worker's loop.
+  for (auto& w : workers_) {
+    w->gate.open();
+    w->thread.join();
+  }
+}
+
+Engine::Worker* Engine::take_worker_locked() {
+  if (!idle_.empty()) {
+    Worker* w = idle_.back();
+    idle_.pop_back();
+    return w;
+  }
+  // Grow first so that nothing after the thread starts can throw: a
+  // started worker must reach workers_ to be joined, and a finishing one
+  // pushes itself onto idle_ without allocating.
+  if (workers_.size() == workers_.capacity()) {
+    workers_.reserve(2 * workers_.size() + 8);
+    idle_.reserve(workers_.capacity());
+  }
+  auto w = std::make_unique<Worker>();
+  Worker* raw = w.get();
+  raw->thread = std::thread([this, raw] { worker_main(*raw); });
+  workers_.push_back(std::move(w));
+  return raw;
+}
+
+void Engine::worker_main(Worker& w) {
+  t_current.engine = this;
+  for (;;) {
+    w.gate.wait();
+    // Unlocked reads are safe here: the gate's release/acquire edge orders
+    // everything the waker wrote, and nothing else runs until we block.
+    ActorState* a = w.actor;
+    if (a == nullptr) {
+      return;  // ~Engine retires the worker
+    }
+    t_current.id = a->id;
+    std::exception_ptr error;
+    // Shutdown (or engine tear-down) before the actor ever ran skips the
+    // body; the actor then hands control onward like any finishing one.
+    if (!stopping_ || a->started) {
+      a->started = true;
+      try {
+        a->body();
+      } catch (const StopSimulation&) {
+        // normal shutdown unwinding
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    // Destroy the closure now, while this actor still holds the run token
+    // and outside the engine mutex: its captures may reference channels
+    // and readers that the simulation's owner destroys right after run()
+    // returns, before ~Engine would otherwise get to them.
+    a->body = nullptr;
+    std::unique_lock lock(mutex_);
+    ActorState* next = finish_locked(*a, error);
+    a->worker = nullptr;
+    w.actor = nullptr;
+    idle_.push_back(&w);
+    lock.unlock();
+    if (next != nullptr) {
+      next->worker->gate.open();
     }
   }
 }
@@ -48,6 +115,10 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
                           bool daemon) {
   std::unique_lock lock(mutex_);
   MAD_ASSERT(!stopping_, "spawn after shutdown");
+  // Before the actor is registered: if no thread can be started, the
+  // std::system_error reaches the caller and leaves no actor that could
+  // never run.
+  Worker* w = take_worker_locked();
   const ActorId id = static_cast<ActorId>(actors_.size());
   auto state = std::make_unique<ActorState>();
   ActorState* a = state.get();
@@ -55,49 +126,12 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
   a->name = std::move(name);
   a->daemon = daemon;
   a->body = std::move(body);
+  a->worker = w;
+  w->actor = a;
   actors_.push_back(std::move(state));
   if (!daemon) {
     ++live_non_daemons_;
   }
-  a->thread = std::thread([this, a] {
-    t_current.engine = this;
-    t_current.id = a->id;
-    a->gate.wait();
-    // Unlocked reads are safe here: the gate's release/acquire edge orders
-    // everything the waker wrote, and nothing else runs until we block.
-    if (stopping_ && !a->started) {
-      // Shutdown (or engine tear-down) before the actor ever ran: skip
-      // the body and hand control onward like any finishing actor.
-      a->body = nullptr;
-      std::unique_lock tl(mutex_);
-      ActorState* next = finish_locked(*a, nullptr);
-      tl.unlock();
-      if (next != nullptr) {
-        next->gate.open();
-      }
-      return;
-    }
-    a->started = true;
-    std::exception_ptr error;
-    try {
-      a->body();
-    } catch (const StopSimulation&) {
-      // normal shutdown unwinding
-    } catch (...) {
-      error = std::current_exception();
-    }
-    // Destroy the closure now, while this actor still holds the run token
-    // and outside the engine mutex: its captures may reference channels
-    // and readers that the simulation's owner destroys right after run()
-    // returns, before ~Engine would otherwise get to them.
-    a->body = nullptr;
-    std::unique_lock tl(mutex_);
-    ActorState* next = finish_locked(*a, error);
-    tl.unlock();
-    if (next != nullptr) {
-      next->gate.open();
-    }
-  });
   // Newly spawned actors start at the back of the ready queue, at the
   // current virtual instant.
   a->status = Status::Ready;
@@ -214,9 +248,9 @@ WakeReason Engine::park() {
     return a.wake_reason;
   }
   if (next != nullptr) {
-    next->gate.open();
+    next->worker->gate.open();
   }
-  a.gate.wait();
+  a.worker->gate.wait();
   return a.wake_reason;
 }
 
@@ -322,7 +356,7 @@ void Engine::run() {
     ActorState* next = hand_off_locked(/*from_actor=*/false);
     if (next != nullptr) {
       lock.unlock();
-      next->gate.open();
+      next->worker->gate.open();
       lock.lock();
     }
     if (!control_with_scheduler_) {
@@ -354,11 +388,6 @@ void Engine::run() {
 
   in_run_ = false;
   lock.unlock();
-  for (auto& a : actors_) {
-    if (a->thread.joinable()) {
-      a->thread.join();
-    }
-  }
   if (first_error_) {
     std::rethrow_exception(first_error_);
   }

@@ -1,8 +1,10 @@
 // Deterministic virtual-time execution engine.
 //
-// The engine runs a set of actors (each backed by an OS thread) with the
-// strict discipline that EXACTLY ONE actor executes at a time and control
-// only changes hands at blocking points (sleep, condition wait, yield).
+// The engine runs a set of actors with the strict discipline that EXACTLY
+// ONE actor executes at a time and control only changes hands at blocking
+// points (sleep, condition wait, yield). Each actor runs on an OS worker
+// thread; a worker whose actor finished is reused for the next spawn, so
+// short-lived actors cost no thread, stack or mapping each.
 // Together with a virtual clock this gives:
 //   * determinism — the interleaving is a pure function of program logic,
 //     never of host scheduling;
@@ -155,6 +157,7 @@ class Engine {
   enum class Status { Created, Ready, Running, Blocked, Finished };
 
   struct ActorState;
+  struct Worker;
 
   ActorState& self();
   ActorState& actor(ActorId id);
@@ -179,6 +182,14 @@ class Engine {
   /// elects the next actor (to be woken unlocked, as above).
   ActorState* finish_locked(ActorState& a, std::exception_ptr error);
 
+  /// Pops an idle worker, or starts a new thread when none is idle. May
+  /// throw std::system_error (thread creation); registers nothing then.
+  Worker* take_worker_locked();
+
+  /// A worker thread's loop: runs each actor handed to it to completion,
+  /// parks on idle_, and returns when ~Engine hands it no actor.
+  void worker_main(Worker& w);
+
   void make_ready(ActorState& a, WakeReason reason);
   void arm_timer(ActorState& a, Time deadline);
   void cancel_timer(ActorState& a);
@@ -188,6 +199,8 @@ class Engine {
   mutable std::mutex mutex_;
   std::condition_variable sched_cv_;
   std::vector<std::unique_ptr<ActorState>> actors_;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<Worker*> idle_;  // LIFO: the most recently parked stack is warm
   std::deque<ActorId> ready_;
   TimerWheel timers_;
   Time now_ = 0;

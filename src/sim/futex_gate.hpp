@@ -1,7 +1,7 @@
 // Binary run-permission gate for the engine's direct handoff.
 //
 // Semantically a one-shot semaphore: the scheduler open()s it, the owning
-// actor thread wait()s for it and re-closes it. std::condition_variable
+// worker thread wait()s for it and re-closes it. std::condition_variable
 // (the original implementation) costs a mutex acquire/release on both
 // sides plus glibc's internal cv state machine per handoff;
 // std::atomic::wait costs libstdc++'s shared waiter-pool bookkeeping and a

@@ -2,15 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "sim/condition.hpp"
 #include "util/panic.hpp"
 
 namespace mad::sim {
 namespace {
+
+// Lines of /proc/self/maps (one per memory mapping), or 0 when unreadable.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) {
+    ++lines;
+  }
+  return lines;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// VmSize of this process in bytes, or 0 when unreadable.
+std::size_t address_space_bytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoul(line.substr(7)) * 1024;
+    }
+  }
+  return 0;
+}
 
 TEST(Engine, RunsSingleActorToCompletion) {
   Engine eng;
@@ -253,9 +287,113 @@ TEST(Engine, FinishedActorReleasesItsClosure) {
 }
 
 TEST(Engine, DestructionWithoutRunIsClean) {
+  std::vector<std::weak_ptr<int>> watches;
+  {
+    Engine eng;
+    for (int i = 0; i < 5; ++i) {
+      auto capture = std::make_shared<int>(i);
+      watches.push_back(capture);
+      eng.spawn("never-ran-" + std::to_string(i),
+                [capture] { FAIL() << "body must not execute"; });
+    }
+    for (const auto& w : watches) {
+      EXPECT_FALSE(w.expired());
+    }
+    // ~Engine must release every parked actor without running its body,
+    // destroy its closure, and retire the workers.
+  }
+  for (const auto& w : watches) {
+    EXPECT_TRUE(w.expired());
+  }
+}
+
+TEST(Engine, ChainedActorsSeeTheirOwnIdentity) {
+  // Each link spawns the next and finishes, so the links run one after
+  // another on reused worker threads: none may see its predecessor's
+  // identity, before or after blocking.
   Engine eng;
-  eng.spawn("never-ran", [] { FAIL() << "body must not execute"; });
-  // ~Engine must join the parked thread without running the body.
+  constexpr int kChain = 50;
+  std::vector<ActorId> spawned;
+  int checked = 0;
+  std::function<void(int)> link = [&](int i) {
+    const std::string name = "link" + std::to_string(i);
+    for (int pass = 0; pass < 2; ++pass) {
+      EXPECT_EQ(Engine::current(), &eng);
+      EXPECT_EQ(eng.current_actor_id(), spawned[static_cast<std::size_t>(i)]);
+      EXPECT_EQ(eng.current_actor_name(), name);
+      eng.sleep_for(1);  // blocks on this actor's own timer
+    }
+    ++checked;
+    if (i + 1 < kChain) {
+      spawned.push_back(
+          eng.spawn("link" + std::to_string(i + 1), [&link, i] { link(i + 1); })
+              .id());
+    }
+  };
+  spawned.push_back(eng.spawn("link0", [&link] { link(0); }).id());
+  eng.run();
+  EXPECT_EQ(checked, kChain);
+  EXPECT_EQ(eng.now(), 2 * kChain);
+}
+
+TEST(Engine, ShortLivedActorChainKeepsMappingsFlat) {
+  // A finished actor must not keep its thread's stack and guard mappings:
+  // a long enough chain would otherwise exhaust vm.max_map_count.
+  Engine eng;
+  constexpr int kChain = 2000;
+  std::size_t at_last = 0;
+  std::function<void(int)> link = [&](int i) {
+    eng.sleep_for(1);
+    if (i + 1 < kChain) {
+      eng.spawn("link" + std::to_string(i + 1), [&link, i] { link(i + 1); });
+    } else {
+      at_last = mapping_count();
+    }
+  };
+  eng.spawn("link0", [&link] { link(0); });
+  const std::size_t before = mapping_count();
+  if (before == 0) {
+    GTEST_SKIP() << "/proc/self/maps is unreadable";
+  }
+  eng.run();
+  ASSERT_GT(at_last, 0u);
+  const long growth = static_cast<long>(at_last) - static_cast<long>(before);
+  EXPECT_LT(growth, 64) << "mappings before run: " << before
+                        << ", in the last of " << kChain
+                        << " chained actors: " << at_last;
+}
+
+TEST(Engine, FailedSpawnReachesRunIntact) {
+  if (kSanitized) {
+    GTEST_SKIP() << "sanitizer shadow memory does not fit an address-space cap";
+  }
+  // Live actors each hold a worker thread. Capping the address space makes
+  // a thread creation fail; its std::system_error must reach run() as the
+  // actor's error, not leave a never-runnable actor behind.
+  Engine eng;
+  Condition never(eng, "never");
+  int spawned = 0;
+  eng.spawn("root", [&] {
+    for (int i = 0; i < 256; ++i) {
+      eng.spawn("live" + std::to_string(i), [&never] { never.wait(); },
+                /*daemon=*/true);
+      ++spawned;
+    }
+  });
+  rlimit saved{};
+  const std::size_t used = address_space_bytes();
+  if (used == 0 || getrlimit(RLIMIT_AS, &saved) != 0) {
+    GTEST_SKIP() << "address-space size or limit unavailable";
+  }
+  rlimit capped = saved;
+  capped.rlim_cur = used + (std::size_t{64} << 20);
+  if (capped.rlim_cur > saved.rlim_max || setrlimit(RLIMIT_AS, &capped) != 0) {
+    GTEST_SKIP() << "cannot cap the address space";
+  }
+  EXPECT_THROW(eng.run(), std::system_error);
+  setrlimit(RLIMIT_AS, &saved);
+  EXPECT_GT(spawned, 0);
+  EXPECT_LT(spawned, 256);
 }
 
 TEST(Engine, ManyActorsComplete) {
