@@ -354,7 +354,8 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       // route, and downstream readers adopt the replayed stream.
       throw *upstream_died;
     }
-    if (queue->attempt.delivered() || vc_.node_crashed(self_)) {
+    if (queue->attempt.delivered() ||
+        vc_.node_crashed_within(self_, engine_.now())) {
       return;
     }
     recover(queue->attempt, dst, /*rejects=*/0);

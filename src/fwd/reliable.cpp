@@ -355,6 +355,25 @@ void ReliableSender::send_block_header(std::uint32_t seq,
 
 void ReliableSender::flush() { drain_to(0); }
 
+void ReliableSender::fast_retransmit(InFlight& p, const char* cause) {
+  ReliabilityStats& stats = vc_.mutable_gateway_stats(self_).reliability;
+  ++stats.retransmits;
+  ++stats.fast_retransmits;
+  metrics_->add("rel.retransmits", node_label_);
+  metrics_->add("rel.fast_retransmits", node_label_);
+  if (trace_ != nullptr) {
+    trace_->instant_here("rel.fast_retransmit",
+                         "peer=" + std::to_string(peer_) +
+                             " seq=" + std::to_string(p.seq) + cause);
+  }
+  if (topo::HealthMonitor* health = vc_.health()) {
+    health->record_loss(self_, peer_, engine_->now());
+  }
+  on_congestion(/*timeout=*/false);
+  p.retransmitted = true;
+  transmit(p);
+}
+
 void ReliableSender::drain_to(std::size_t target) {
   ReliabilityStats& stats = vc_.mutable_gateway_stats(self_).reliability;
   net::AckRegistry& acks = network_->acks();
@@ -448,21 +467,7 @@ void ReliableSender::drain_to(std::size_t target) {
       if (!front.retransmitted && !front.sacked &&
           acks.posted_cover_time(tag, rx_nic, epoch_, front.seq) ==
               sim::kForever) {
-        ++stats.retransmits;
-        ++stats.fast_retransmits;
-        metrics_->add("rel.retransmits", node_label_);
-        metrics_->add("rel.fast_retransmits", node_label_);
-        if (trace_ != nullptr) {
-          trace_->instant_here("rel.fast_retransmit",
-                               "peer=" + std::to_string(peer_) + " seq=" +
-                                   std::to_string(front.seq));
-        }
-        if (topo::HealthMonitor* health = vc_.health()) {
-          health->record_loss(self_, peer_, now);
-        }
-        on_congestion(/*timeout=*/false);
-        front.retransmitted = true;
-        transmit(front);
+        fast_retransmit(front, "");
         continue;  // the pack advanced virtual time; re-read the board
       }
     }
@@ -492,22 +497,7 @@ void ReliableSender::drain_to(std::size_t target) {
         if (sacked_later >= needed &&
             acks.posted_cover_time(tag, rx_nic, epoch_, front.seq) ==
                 sim::kForever) {
-          ++stats.retransmits;
-          ++stats.fast_retransmits;
-          metrics_->add("rel.retransmits", node_label_);
-          metrics_->add("rel.fast_retransmits", node_label_);
-          if (trace_ != nullptr) {
-            trace_->instant_here("rel.fast_retransmit",
-                                 "peer=" + std::to_string(peer_) + " seq=" +
-                                     std::to_string(front.seq) +
-                                     " cause=sack");
-          }
-          if (topo::HealthMonitor* health = vc_.health()) {
-            health->record_loss(self_, peer_, engine_->now());
-          }
-          on_congestion(/*timeout=*/false);
-          front.retransmitted = true;
-          transmit(front);
+          fast_retransmit(front, " cause=sack");
           continue;  // the pack advanced virtual time; re-read the board
         }
       }
@@ -661,8 +651,9 @@ void ReliableReceiver::recv(MessageReader& in, std::uint32_t expected_seq,
           wire_size = *got;
           break;
         }
-        if (vc_.is_dead(peer_) || vc_.node_crashed(peer_) ||
-            vc_.node_crashed(self_)) {
+        if (vc_.is_dead(peer_) ||
+            vc_.node_crashed_within(peer_, engine.now()) ||
+            vc_.node_crashed_within(self_, engine.now())) {
           throw PeerDied{peer_};
         }
       }

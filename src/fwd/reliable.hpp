@@ -230,6 +230,10 @@ class ReliableSender {
   void pool_return(std::vector<std::byte> wire);
   /// Blocks until at most `target` paquets remain in flight.
   void drain_to(std::size_t target);
+  /// Resends a window front judged lost before its timer fired (dup acks
+  /// or SACK evidence): counters, trace instant with `cause` appended to
+  /// its detail, health loss, congestion decrease, transmit.
+  void fast_retransmit(InFlight& p, const char* cause);
   /// Times out `p`: throws HopFailure past the budget, else retransmits
   /// with a backed-off deadline.
   void expire(InFlight& p);

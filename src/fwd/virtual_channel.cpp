@@ -83,30 +83,22 @@ VirtualChannel::VirtualChannel(Domain& domain, std::string name,
   }
   routing_ = std::make_unique<topo::Routing>(*topology_);
 
-  // Two real channels per device per virtual channel (paper Fig 3).
-  for (int local = 0; local < local_net_count(); ++local) {
-    net::Network& network = *networks_[static_cast<std::size_t>(local)];
-    regular_ids_.push_back(
-        domain_.create_channel(name_ + ".reg." + network.name(), network));
-    special_ids_.push_back(
-        domain_.create_channel(name_ + ".fwd." + network.name(), network));
-  }
-  // Each extra rail gets its own regular/special pair per device, so
-  // striped rails never contend for a connection tx lock or interleave on
-  // a relay actor with rail 0 (or each other).
-  for (int rail = 1; rail < options_.max_rails; ++rail) {
-    std::vector<ChannelId> reg;
-    std::vector<ChannelId> spec;
-    const std::string prefix = name_ + ".st" + std::to_string(rail);
+  // Two real channels per device per virtual channel (paper Fig 3). Each
+  // extra rail gets its own regular/special pair per device, so striped
+  // rails never contend for a connection tx lock or interleave on a relay
+  // actor with rail 0 (or each other).
+  for (int rail = 0; rail < options_.max_rails; ++rail) {
+    const std::string prefix =
+        rail == 0 ? name_ : name_ + ".st" + std::to_string(rail);
+    std::vector<RailChannels>& row = rail_channels_.emplace_back();
     for (int local = 0; local < local_net_count(); ++local) {
       net::Network& network = *networks_[static_cast<std::size_t>(local)];
-      reg.push_back(
-          domain_.create_channel(prefix + ".reg." + network.name(), network));
-      spec.push_back(
-          domain_.create_channel(prefix + ".fwd." + network.name(), network));
+      const ChannelId regular =
+          domain_.create_channel(prefix + ".reg." + network.name(), network);
+      const ChannelId special =
+          domain_.create_channel(prefix + ".fwd." + network.name(), network);
+      row.push_back({regular, special});
     }
-    stripe_regular_ids_.push_back(std::move(reg));
-    stripe_special_ids_.push_back(std::move(spec));
   }
 
   for (NodeRank rank = 0;
@@ -435,19 +427,6 @@ bool VirtualChannel::is_dead(NodeRank rank) const {
   return dead_.count(rank) != 0;
 }
 
-bool VirtualChannel::node_crashed(NodeRank rank) const {
-  const sim::Time now = domain_.engine().now();
-  for (const int local : topology_->networks_of(rank)) {
-    net::Network& net = network(local);
-    const net::FaultInjector* injector = net.fault_injector();
-    if (injector != nullptr &&
-        injector->nic_down(domain_.nic_of(rank, net).index(), now)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool VirtualChannel::node_crashed_within(NodeRank rank,
                                          sim::Time since) const {
   const sim::Time now = domain_.engine().now();
@@ -522,7 +501,7 @@ void VirtualChannel::spawn_health_actor() {
                 quarantine_node(rank, now);
               }
             } else if (health_->may_readmit(rank, now) &&
-                       !node_crashed(rank)) {
+                       !node_crashed_within(rank, eng.now())) {
               // Trial readmission: a still-sick node fails fast, gets
               // re-excluded with a grown flap penalty, and is eventually
               // suppressed until the penalty decays — BGP damping.
@@ -564,46 +543,23 @@ GatewayStats& VirtualChannel::mutable_gateway_stats(NodeRank rank) {
   return gateway_stats_[rank];
 }
 
-Channel& VirtualChannel::regular_channel(int local_net, NodeRank rank) const {
+const VirtualChannel::RailChannels& VirtualChannel::rail_channels(
+    int local_net, int rail) const {
   MAD_ASSERT(local_net >= 0 && local_net < local_net_count(),
              "bad local network id");
-  return domain_.endpoint(regular_ids_[static_cast<std::size_t>(local_net)],
-                          rank);
-}
-
-Channel& VirtualChannel::special_channel(int local_net, NodeRank rank) const {
-  MAD_ASSERT(local_net >= 0 && local_net < local_net_count(),
-             "bad local network id");
-  return domain_.endpoint(special_ids_[static_cast<std::size_t>(local_net)],
-                          rank);
+  MAD_ASSERT(rail >= 0 && rail < options_.max_rails, "bad rail index");
+  return rail_channels_[static_cast<std::size_t>(rail)]
+                       [static_cast<std::size_t>(local_net)];
 }
 
 Channel& VirtualChannel::rail_regular_channel(int local_net, int rail,
                                               NodeRank rank) const {
-  if (rail == 0) {
-    return regular_channel(local_net, rank);
-  }
-  MAD_ASSERT(local_net >= 0 && local_net < local_net_count(),
-             "bad local network id");
-  MAD_ASSERT(rail > 0 && rail < options_.max_rails, "bad rail index");
-  return domain_.endpoint(
-      stripe_regular_ids_[static_cast<std::size_t>(rail - 1)]
-                         [static_cast<std::size_t>(local_net)],
-      rank);
+  return domain_.endpoint(rail_channels(local_net, rail).regular, rank);
 }
 
 Channel& VirtualChannel::rail_special_channel(int local_net, int rail,
                                               NodeRank rank) const {
-  if (rail == 0) {
-    return special_channel(local_net, rank);
-  }
-  MAD_ASSERT(local_net >= 0 && local_net < local_net_count(),
-             "bad local network id");
-  MAD_ASSERT(rail > 0 && rail < options_.max_rails, "bad rail index");
-  return domain_.endpoint(
-      stripe_special_ids_[static_cast<std::size_t>(rail - 1)]
-                         [static_cast<std::size_t>(local_net)],
-      rank);
+  return domain_.endpoint(rail_channels(local_net, rail).special, rank);
 }
 
 net::Network& VirtualChannel::network(int local_net) const {
@@ -759,7 +715,8 @@ VcMessageWriter::VcMessageWriter(VirtualChannel& vc, NodeRank src,
     // No gateway: regular channel, native format, full optimizations.
     // (Also no reliability: the reliable framing protects forwarded
     // traffic only.)
-    Channel& channel = vc.regular_channel(route.front().network, src);
+    Channel& channel =
+        vc.rail_regular_channel(route.front().network, /*rail=*/0, src);
     inner_.emplace(channel.begin_packing(dst));
     write_preamble(*inner_, Preamble{static_cast<std::uint32_t>(src), 0});
     return;

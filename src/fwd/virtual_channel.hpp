@@ -278,14 +278,11 @@ class VirtualChannel {
   /// Sums counters across every RdmaTm this channel created so far.
   RdmaTotals rdma_totals() const;
 
-  /// True when `rank`'s NIC on any of this channel's networks has a fault-
-  /// plan crash event at or before the current virtual time — lets a
-  /// crashed gateway's own actors stand down instead of mis-diagnosing
-  /// their peers.
-  bool node_crashed(NodeRank rank) const;
-
-  /// True when any crash window of `rank` overlaps [since, now]: a
-  /// recovered gateway uses this to discard relay state captured before
+  /// True when a fault-plan crash window of `rank`'s NIC on any of this
+  /// channel's networks overlaps [since, now]. With since = now it asks
+  /// whether the node is down right now — lets a crashed gateway's own
+  /// actors stand down instead of mis-diagnosing their peers; an earlier
+  /// `since` lets a recovered gateway discard relay state captured before
   /// its own outage (the downstream copy may already exist).
   bool node_crashed_within(NodeRank rank, sim::Time since) const;
 
@@ -300,12 +297,9 @@ class VirtualChannel {
   GatewayStats& mutable_gateway_stats(NodeRank rank);
 
   /// Real channels, indexed by the *local* network id (the position of the
-  /// network in the constructor list).
-  Channel& regular_channel(int local_net, NodeRank rank) const;
-  Channel& special_channel(int local_net, NodeRank rank) const;
-  /// Rail-indexed channel pair: rail 0 is the regular/special pair above,
-  /// rails >= 1 (striping) each get a dedicated pair so rails never share
-  /// a connection's tx lock or a relay actor.
+  /// network in the constructor list) and the rail: rail 0 is the paper's
+  /// regular/special pair, rails >= 1 (striping) each get a dedicated pair
+  /// so rails never share a connection's tx lock or a relay actor.
   Channel& rail_regular_channel(int local_net, int rail, NodeRank rank) const;
   Channel& rail_special_channel(int local_net, int rail, NodeRank rank) const;
   int max_rails() const { return options_.max_rails; }
@@ -366,12 +360,12 @@ class VirtualChannel {
   // Nodes declared dead by the retry budget — a (reversible) superset
   // split from routing exclusion, which quarantines also use.
   std::set<NodeRank> dead_;
-  std::vector<ChannelId> regular_ids_;  // per local network
-  std::vector<ChannelId> special_ids_;
-  // Per rail >= 1, per local network (striping only; empty when
-  // max_rails == 1).
-  std::vector<std::vector<ChannelId>> stripe_regular_ids_;
-  std::vector<std::vector<ChannelId>> stripe_special_ids_;
+  struct RailChannels {
+    ChannelId regular = -1;
+    ChannelId special = -1;
+  };
+  const RailChannels& rail_channels(int local_net, int rail) const;
+  std::vector<std::vector<RailChannels>> rail_channels_;  // [rail][local net]
   std::map<NodeRank, std::unique_ptr<VcEndpoint>> endpoints_;
   mutable std::map<NodeRank, GatewayStats> gateway_stats_;
   // One RdmaTm per NIC that ever sent one-sided, lazily created (mutable:

@@ -229,7 +229,7 @@ void Engine::request_stop() {
 
 WakeReason Engine::park() {
   // Caller holds mutex_ and has already queued this actor (ready queue,
-  // condition waiters and/or timer wheel) with status Blocked or Ready.
+  // condition waiters and/or timer queue) with status Blocked or Ready.
   // Returns WITHOUT the mutex: the gate's release/acquire edge makes the
   // waker's writes (wake_reason, stopping_, now_) readable lock-free, and
   // only one actor runs at a time, so nothing mutates them under us.
@@ -279,7 +279,7 @@ Engine::ActorState* Engine::hand_off_locked(bool from_actor) {
       return &next;
     }
     if (!timers_.empty()) {
-      const TimerWheel::Entry e = timers_.pop_min();
+      const TimerQueue::Entry e = timers_.pop_min();
       ActorState& ta = actor(e.id);
       MAD_ASSERT(ta.timer_armed, "fired timer for an unarmed actor");
       ta.timer_armed = false;  // consumed: make_ready must not re-cancel

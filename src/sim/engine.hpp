@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/timer_queue.hpp"
 
 namespace mad::sim {
 
@@ -202,7 +202,7 @@ class Engine {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Worker*> idle_;  // LIFO: the most recently parked stack is warm
   std::deque<ActorId> ready_;
-  TimerWheel timers_;
+  TimerQueue timers_;
   Time now_ = 0;
   Time horizon_ = kForever;
   TraceSink* trace_ = nullptr;

@@ -373,6 +373,18 @@ TEST(FaultInjector, CrashRecoveryRestoresDelivery) {
       injector.nic_down_within(1, 0, sim::milliseconds(1)));
   EXPECT_FALSE(injector.nic_down_within(1, sim::milliseconds(2),
                                         sim::milliseconds(3)));
+  // A point query is the degenerate window: at the crash edge, the last
+  // nanosecond down and the recovery edge, nic_down(t) equals
+  // nic_down_within(t, t).
+  for (const sim::Time t :
+       {sim::milliseconds(1), sim::milliseconds(2) - 1, sim::milliseconds(2)}) {
+    EXPECT_EQ(injector.nic_down(1, t), injector.nic_down_within(1, t, t))
+        << "at t=" << t;
+  }
+  EXPECT_TRUE(injector.nic_down_within(1, sim::milliseconds(2) - 1,
+                                       sim::milliseconds(2) - 1));
+  EXPECT_FALSE(injector.nic_down_within(1, sim::milliseconds(2),
+                                        sim::milliseconds(2)));
 }
 
 TEST(FaultInjector, SymmetricLinkDownDropsBothDirections) {

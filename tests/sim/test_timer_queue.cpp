@@ -1,4 +1,4 @@
-#include "sim/timer_wheel.hpp"
+#include "sim/timer_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,11 @@
 namespace mad::sim {
 namespace {
 
+// The suite keeps the name it had when the queue was a timer wheel, so
+// the test ids stay the same across that change.
+
 TEST(TimerWheel, PopsInDeadlineOrder) {
-  TimerWheel w;
+  TimerQueue w;
   w.arm(nanoseconds(300), 0);
   w.arm(nanoseconds(100), 1);
   w.arm(nanoseconds(200), 2);
@@ -25,7 +28,7 @@ TEST(TimerWheel, PopsInDeadlineOrder) {
 }
 
 TEST(TimerWheel, TiesBreakByActorId) {
-  TimerWheel w;
+  TimerQueue w;
   // Same deadline, ids armed out of order: expiry must be ascending id —
   // the determinism contract inherited from the old std::set queue.
   for (int id : {7, 2, 9, 0, 5}) {
@@ -41,7 +44,7 @@ TEST(TimerWheel, TiesBreakByActorId) {
 }
 
 TEST(TimerWheel, CancelRemovesAndUnarms) {
-  TimerWheel w;
+  TimerQueue w;
   w.arm(nanoseconds(50), 0);
   w.arm(nanoseconds(60), 1);
   EXPECT_TRUE(w.armed(0));
@@ -52,9 +55,9 @@ TEST(TimerWheel, CancelRemovesAndUnarms) {
 }
 
 TEST(TimerWheel, CancelThenRearmAtSameDeadline) {
-  TimerWheel w;
+  TimerQueue w;
   // The stale lazily-cancelled entry is bit-identical in (deadline, id)
-  // to the live rearm; only the generation distinguishes them. The wheel
+  // to the live rearm; only the generation distinguishes them. The queue
   // must deliver exactly one expiry.
   for (int round = 0; round < 5; ++round) {
     w.arm(microseconds(3), 42);
@@ -67,18 +70,17 @@ TEST(TimerWheel, CancelThenRearmAtSameDeadline) {
 }
 
 TEST(TimerWheel, FarDeadlinesBeyondWheelRange) {
-  TimerWheel w;
-  w.arm(seconds(120), 0);  // far heap: past the wheel's ~17 s span
+  TimerQueue w;
+  w.arm(seconds(120), 0);  // far past every RTO in the engine
   w.arm(microseconds(5), 1);
   w.arm(seconds(90), 2);
-  EXPECT_EQ(w.far_count(), 2u);
   EXPECT_EQ(w.pop_min().id, 1);
   EXPECT_EQ(w.pop_min().id, 2);
   EXPECT_EQ(w.pop_min().id, 0);
 }
 
 TEST(TimerWheel, RtoCancelStormStaysBounded) {
-  TimerWheel w;
+  TimerQueue w;
   // The forwarding layer's duty cycle: arm a retransmission timeout,
   // cancel it when the paquet arrives — thousands of times per live
   // expiry. Lazy cancellation must keep bookkeeping exact through the
@@ -99,14 +101,14 @@ TEST(TimerWheel, RtoCancelStormStaysBounded) {
 }
 
 // Differential test: random arm/cancel/pop traffic against the reference
-// ordered set the engine used before the wheel. Every extraction must
+// ordered set the engine used before the timer queue. Every extraction must
 // match the set's minimum exactly — deadline AND id.
 TEST(TimerWheel, MatchesOrderedSetReference) {
   util::Rng rng(0x71e77bee15eedULL);
-  TimerWheel w;
+  TimerQueue w;
   std::set<std::pair<Time, int>> ref;
   std::vector<Time> armed_at(256, -1);  // -1 = unarmed
-  Time floor = 0;  // deadlines may not precede the wheel's horizon
+  Time floor = 0;  // the engine never arms a timer before its clock
 
   for (int step = 0; step < 50'000; ++step) {
     const std::uint64_t op = rng.next_u64() % 100;
@@ -117,7 +119,7 @@ TEST(TimerWheel, MatchesOrderedSetReference) {
       }
       Time d = floor + static_cast<Time>(rng.next_u64() % microseconds(40));
       if (rng.next_u64() % 50 == 0) {
-        d += seconds(60);  // exercise the far heap
+        d += seconds(60);  // exercise far deadlines
       }
       w.arm(d, id);
       ref.emplace(d, id);
