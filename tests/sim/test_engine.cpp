@@ -6,12 +6,15 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include "sim/condition.hpp"
 #include "util/panic.hpp"
@@ -34,6 +37,28 @@ constexpr bool kSanitized = true;
 #else
 constexpr bool kSanitized = false;
 #endif
+
+// The kernel's id of the calling thread: unlike std::thread::id, it tells
+// one OS thread from another across engines.
+long thread_id() { return syscall(SYS_gettid); }
+
+// Records the id of the thread that destroys it (the thread that runs, or
+// releases, the actor whose closure holds the last reference).
+struct RecordsThreadOnRelease {
+  std::set<long>* ids;
+  ~RecordsThreadOnRelease() { ids->insert(thread_id()); }
+};
+
+// Spawns `n` actors that record their thread id and then sleep, so all `n`
+// are blocked at once and each needs a worker of its own.
+void spawn_sleepers(Engine& eng, int n, std::set<long>& ids) {
+  for (int i = 0; i < n; ++i) {
+    eng.spawn("sleeper" + std::to_string(i), [&eng, &ids] {
+      ids.insert(thread_id());
+      eng.sleep_for(1);
+    });
+  }
+}
 
 // VmSize of this process in bytes, or 0 when unreadable.
 std::size_t address_space_bytes() {
@@ -299,8 +324,8 @@ TEST(Engine, DestructionWithoutRunIsClean) {
     for (const auto& w : watches) {
       EXPECT_FALSE(w.expired());
     }
-    // ~Engine must release every parked actor without running its body,
-    // destroy its closure, and retire the workers.
+    // ~Engine must release every parked actor without running its body
+    // and destroy its closure.
   }
   for (const auto& w : watches) {
     EXPECT_TRUE(w.expired());
@@ -369,12 +394,16 @@ TEST(Engine, FailedSpawnReachesRunIntact) {
   }
   // Live actors each hold a worker thread. Capping the address space makes
   // a thread creation fail; its std::system_error must reach run() as the
-  // actor's error, not leave a never-runnable actor behind.
+  // actor's error, not leave a never-runnable actor behind. Workers parked
+  // by earlier engines of this process are taken first and need no new
+  // thread, so the root spawns until a creation fails; the bound is far
+  // above any actor count an earlier engine could have parked.
+  constexpr int kBound = 1 << 16;
   Engine eng;
   Condition never(eng, "never");
   int spawned = 0;
   eng.spawn("root", [&] {
-    for (int i = 0; i < 256; ++i) {
+    for (int i = 0; i < kBound; ++i) {
       eng.spawn("live" + std::to_string(i), [&never] { never.wait(); },
                 /*daemon=*/true);
       ++spawned;
@@ -393,7 +422,106 @@ TEST(Engine, FailedSpawnReachesRunIntact) {
   EXPECT_THROW(eng.run(), std::system_error);
   setrlimit(RLIMIT_AS, &saved);
   EXPECT_GT(spawned, 0);
-  EXPECT_LT(spawned, 256);
+  EXPECT_LT(spawned, kBound);
+}
+
+TEST(Engine, LaterEngineReusesEarlierWorkers) {
+  // Workers outlive the engine that started them: a later engine runs its
+  // actors on the threads an earlier one parked, and starts none.
+  constexpr int kActors = 8;
+  std::set<long> first;
+  {
+    Engine a;
+    spawn_sleepers(a, kActors, first);
+    a.run();
+  }
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(kActors));
+  std::set<long> second;
+  Engine b;
+  spawn_sleepers(b, kActors, second);
+  b.run();
+  EXPECT_EQ(second, first);
+}
+
+TEST(Engine, CurrentNamesTheBorrowingEngine) {
+  // A reused worker must answer for the engine that borrowed it, not for
+  // the one that started its thread.
+  std::set<long> first;
+  {
+    Engine a;
+    spawn_sleepers(a, 2, first);
+    a.run();
+  }
+  EXPECT_EQ(Engine::current(), nullptr);
+  Engine b;
+  int checked = 0;
+  for (int i = 0; i < 2; ++i) {
+    const std::string name = "borrower" + std::to_string(i);
+    b.spawn(name, [&b, &first, &checked, name, i] {
+      EXPECT_EQ(first.count(thread_id()), 1u) << "not a reused worker";
+      for (int pass = 0; pass < 2; ++pass) {
+        EXPECT_EQ(Engine::current(), &b);
+        EXPECT_EQ(b.current_actor_id(), i);
+        EXPECT_EQ(b.current_actor_name(), name);
+        b.sleep_for(1);
+      }
+      ++checked;
+    });
+  }
+  b.run();
+  EXPECT_EQ(checked, 2);
+  EXPECT_EQ(Engine::current(), nullptr);
+}
+
+TEST(Engine, NeverStartedActorsReturnTheirWorkers) {
+  // ~Engine releases never-started actors on their own workers (the
+  // closure is destroyed there); those workers must then serve later
+  // engines like any other.
+  constexpr int kActors = 5;
+  std::set<long> released;
+  std::vector<std::weak_ptr<RecordsThreadOnRelease>> watches;
+  {
+    Engine a;
+    for (int i = 0; i < kActors; ++i) {
+      auto capture = std::make_shared<RecordsThreadOnRelease>(&released);
+      watches.push_back(capture);
+      a.spawn("never-ran-" + std::to_string(i),
+              [capture] { FAIL() << "body must not execute"; });
+    }
+  }
+  for (const auto& w : watches) {
+    EXPECT_TRUE(w.expired());
+  }
+  ASSERT_EQ(released.size(), static_cast<std::size_t>(kActors));
+  std::set<long> reused;
+  Engine b;
+  spawn_sleepers(b, kActors, reused);
+  b.run();
+  EXPECT_EQ(reused, released);
+}
+
+TEST(Engine, DeadlockedRunReturnsItsWorkers) {
+  // A run that ends in DeadlockError unwinds every blocked actor, so its
+  // workers go back on the list as well.
+  constexpr int kActors = 3;
+  std::set<long> first;
+  {
+    Engine a;
+    Condition never(a, "never");
+    for (int i = 0; i < kActors; ++i) {
+      a.spawn("stuck" + std::to_string(i), [&first, &never] {
+        first.insert(thread_id());
+        never.wait();
+      });
+    }
+    EXPECT_THROW(a.run(), DeadlockError);
+  }
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(kActors));
+  std::set<long> second;
+  Engine b;
+  spawn_sleepers(b, kActors, second);
+  b.run();
+  EXPECT_EQ(second, first);
 }
 
 TEST(Engine, ManyActorsComplete) {
