@@ -29,6 +29,7 @@
 #include "fwd/gateway.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -548,13 +549,13 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   /// and the software cost of handing the buffer to the egress (measured
   /// ≈40 µs per switch on the paper's testbed, §3.3.1).
   void note_received(sim::Time begin, std::uint32_t size) {
-    note_phase("recv", begin, size);
+    note_phase(kRecv, begin, size);
     GatewayStats& stats = vc_.mutable_gateway_stats(self_);
     ++stats.paquets_forwarded;
     stats.bytes_forwarded += size;
     const sim::Time switch_begin = engine_.now();
     engine_.sleep_for(vc_.options().gateway_sw_overhead);
-    note_phase("switch", switch_begin);
+    note_phase(kSwitch, switch_begin);
   }
 
   // --------------------------------------------------------------- egress
@@ -577,7 +578,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       free_buffers_.send(std::move(buffer));
     }
     if (fragment) {
-      note_phase("send", begin, bytes);
+      note_phase(kSend, begin, bytes);
     }
     return true;
   }
@@ -688,7 +689,7 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
       }
       hold_for_wire(channel, bytes, granted_at);
     }
-    note_phase("send", begin, bytes);
+    note_phase(kSend, begin, bytes);
   }
 
   /// Holds the calling actor (and therefore its DRR grant) until the
@@ -729,23 +730,31 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
 
   // ------------------------------------------------------ instrumentation
 
-  /// The one instrumentation point of a gateway phase ("recv", "switch",
-  /// "send"): the sim::Trace interval the Fig 5/8 step tables read, and
-  /// the gw.phase_us sample of the metrics report (one series per gateway
-  /// and phase).
-  void note_phase(const std::string& phase, sim::Time begin,
+  enum Phase { kRecv, kSwitch, kSend, kPhases };
+  static constexpr std::array<const char*, kPhases> kPhaseNames = {
+      "recv", "switch", "send"};
+
+  /// The one instrumentation point of a gateway phase: the sim::Trace
+  /// interval the Fig 5/8 step tables read, and the gw.phase_us sample of
+  /// the metrics report (one series per gateway and phase). The series is
+  /// looked up on its first sample, so an unused phase registers nothing.
+  void note_phase(Phase phase, sim::Time begin,
                   std::optional<std::uint64_t> bytes = std::nullopt) {
     const sim::Time end = engine_.now();
+    const char* name = kPhaseNames[phase];
     if (sim::Trace* trace = vc_.options().trace; trace != nullptr) {
-      trace->record(begin, end, "gw." + phase,
+      trace->record(begin, end, std::string("gw.") + name,
                     bytes ? "bytes=" + std::to_string(*bytes) : "");
     }
     sim::MetricsRegistry& metrics = vc_.domain().fabric().metrics();
     if (metrics.enabled()) {
-      metrics
-          .histogram("gw.phase_us",
-                     "gateway=" + std::to_string(self_) + ",phase=" + phase)
-          .record(sim::to_microseconds(end - begin));
+      sim::LatencyHistogram*& series = phase_us_[phase];
+      if (series == nullptr) {
+        series = &metrics.histogram(
+            "gw.phase_us",
+            "gateway=" + std::to_string(self_) + ",phase=" + name);
+      }
+      series->record(sim::to_microseconds(end - begin));
     }
   }
 
@@ -897,6 +906,9 @@ class GatewayRelay : public std::enable_shared_from_this<GatewayRelay> {
   std::map<NodeRank, std::uint64_t> flow_next_ticket_;
   std::map<NodeRank, std::uint64_t> flow_serving_;
   sim::Condition flow_turn_;
+  // note_phase's gw.phase_us series, found on first use. The fabric's
+  // registry outlives this relay and never drops a series while it runs.
+  std::array<sim::LatencyHistogram*, kPhases> phase_us_{};
 };
 
 }  // namespace

@@ -41,50 +41,37 @@ Engine::~Engine() {
       sched_cv_.wait(lock, [&a] { return a->status == Status::Finished; });
     }
   }
-  lock.unlock();
-  // Every actor has finished, so no worker holds one: opening a gate with
-  // no actor to run ends that worker's loop.
-  for (auto& w : workers_) {
-    w->gate.open();
-    w->thread.join();
-  }
+}
+
+Engine::Worker::List& Engine::Worker::list() {
+  static List* const list = new List;
+  return *list;
 }
 
 Engine::Worker* Engine::take_worker_locked() {
-  if (!idle_.empty()) {
-    Worker* w = idle_.back();
-    idle_.pop_back();
+  Worker::List& list = Worker::list();
+  std::lock_guard parked(list.mutex);
+  if (Worker* w = list.top; w != nullptr) {
+    list.top = w->next_parked;
     return w;
   }
-  // Grow first so that nothing after the thread starts can throw: a
-  // started worker must reach workers_ to be joined, and a finishing one
-  // pushes itself onto idle_ without allocating.
-  if (workers_.size() == workers_.capacity()) {
-    workers_.reserve(2 * workers_.size() + 8);
-    idle_.reserve(workers_.capacity());
-  }
   auto w = std::make_unique<Worker>();
-  Worker* raw = w.get();
-  raw->thread = std::thread([this, raw] { worker_main(*raw); });
-  workers_.push_back(std::move(w));
-  return raw;
+  std::thread(worker_main, std::ref(*w)).detach();
+  return w.release();
 }
 
 void Engine::worker_main(Worker& w) {
-  t_current.engine = this;
   for (;;) {
     w.gate.wait();
     // Unlocked reads are safe here: the gate's release/acquire edge orders
     // everything the waker wrote, and nothing else runs until we block.
+    Engine& e = *w.engine;
     ActorState* a = w.actor;
-    if (a == nullptr) {
-      return;  // ~Engine retires the worker
-    }
-    t_current.id = a->id;
+    t_current = {&e, a->id};
     std::exception_ptr error;
     // Shutdown (or engine tear-down) before the actor ever ran skips the
     // body; the actor then hands control onward like any finishing one.
-    if (!stopping_ || a->started) {
+    if (!e.stopping_ || a->started) {
       a->started = true;
       try {
         a->body();
@@ -99,12 +86,18 @@ void Engine::worker_main(Worker& w) {
     // and readers that the simulation's owner destroys right after run()
     // returns, before ~Engine would otherwise get to them.
     a->body = nullptr;
-    std::unique_lock lock(mutex_);
-    ActorState* next = finish_locked(*a, error);
+    std::unique_lock lock(e.mutex_);
+    ActorState* next = e.finish_locked(*a, error);
     a->worker = nullptr;
     w.actor = nullptr;
-    idle_.push_back(&w);
+    Worker::List& list = Worker::list();
+    std::unique_lock parked(list.mutex);
+    w.next_parked = std::exchange(list.top, &w);
+    parked.unlock();
+    // From here on the engine may be destroyed; only `next` (which cannot
+    // run before its gate opens) keeps it alive.
     lock.unlock();
+    t_current = {};
     if (next != nullptr) {
       next->worker->gate.open();
     }
@@ -119,6 +112,7 @@ ActorHandle Engine::spawn(std::string name, std::function<void()> body,
   // std::system_error reaches the caller and leaves no actor that could
   // never run.
   Worker* w = take_worker_locked();
+  w->engine = this;
   const ActorId id = static_cast<ActorId>(actors_.size());
   auto state = std::make_unique<ActorState>();
   ActorState* a = state.get();

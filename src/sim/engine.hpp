@@ -3,8 +3,9 @@
 // The engine runs a set of actors with the strict discipline that EXACTLY
 // ONE actor executes at a time and control only changes hands at blocking
 // points (sleep, condition wait, yield). Each actor runs on an OS worker
-// thread; a worker whose actor finished is reused for the next spawn, so
-// short-lived actors cost no thread, stack or mapping each.
+// thread. A worker whose actor finished goes back on one process-wide list
+// for the next spawn of any engine, so neither short-lived actors nor
+// short-lived engines cost a thread, stack or mapping each.
 // Together with a virtual clock this gives:
 //   * determinism — the interleaving is a pure function of program logic,
 //     never of host scheduling;
@@ -182,13 +183,14 @@ class Engine {
   /// elects the next actor (to be woken unlocked, as above).
   ActorState* finish_locked(ActorState& a, std::exception_ptr error);
 
-  /// Pops an idle worker, or starts a new thread when none is idle. May
-  /// throw std::system_error (thread creation); registers nothing then.
+  /// Pops a parked worker off the process-wide list, or starts a new
+  /// thread when none is parked. May throw std::system_error (thread
+  /// creation); registers nothing then.
   Worker* take_worker_locked();
 
-  /// A worker thread's loop: runs each actor handed to it to completion,
-  /// parks on idle_, and returns when ~Engine hands it no actor.
-  void worker_main(Worker& w);
+  /// A worker thread's loop, for any engine: runs each actor handed to it
+  /// to completion, then parks on the process-wide list. Never returns.
+  static void worker_main(Worker& w);
 
   void make_ready(ActorState& a, WakeReason reason);
   void arm_timer(ActorState& a, Time deadline);
@@ -199,8 +201,6 @@ class Engine {
   mutable std::mutex mutex_;
   std::condition_variable sched_cv_;
   std::vector<std::unique_ptr<ActorState>> actors_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<Worker*> idle_;  // LIFO: the most recently parked stack is warm
   std::deque<ActorId> ready_;
   TimerQueue timers_;
   Time now_ = 0;

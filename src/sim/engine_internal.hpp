@@ -2,7 +2,7 @@
 // shared by engine.cpp and condition.cpp. Not part of the public API.
 #pragma once
 
-#include <thread>
+#include <mutex>
 
 #include "sim/engine.hpp"
 #include "sim/futex_gate.hpp"
@@ -23,16 +23,26 @@ struct Engine::ActorState {
   Time timer_deadline = 0;
 };
 
-/// An OS thread that runs actors one after another. It is idle (on
-/// Engine::idle_, `actor == nullptr`) between actors.
+/// An OS thread that runs actors one after another, for any engine; it is
+/// parked on the process-wide list() between actors. Detached, never freed.
 struct Engine::Worker {
   // Run permission for the worker's current actor. The gate's
   // release/acquire ordering replaces both a per-actor condvar and the
   // wake-side mutex reacquisition: everything the waker wrote under the
-  // engine mutex (including `actor`) is visible after gate.wait() returns.
+  // engine mutex (`engine`, `actor`) is visible after gate.wait() returns.
   FutexGate gate;
+  Engine* engine = nullptr;
   ActorState* actor = nullptr;
-  std::thread thread;  // last: it runs on the members above
+  Worker* next_parked = nullptr;  // list() link: a push never allocates
+
+  /// LIFO (the most recently parked stack is warm). Lock order: an
+  /// engine's mutex, then this one. Never destroyed: parked threads
+  /// outlive static destruction.
+  struct List {
+    std::mutex mutex;
+    Worker* top = nullptr;
+  };
+  static List& list();
 };
 
 }  // namespace mad::sim

@@ -1,7 +1,7 @@
 // Binary run-permission gate for the engine's direct handoff.
 //
-// Semantically a one-shot semaphore: the scheduler open()s it, the owning
-// worker thread wait()s for it and re-closes it. std::condition_variable
+// Semantically a one-shot semaphore: a borrowing engine's scheduler opens
+// it, the worker's own thread waits and re-closes it. std::condition_variable
 // (the original implementation) costs a mutex acquire/release on both
 // sides plus glibc's internal cv state machine per handoff;
 // std::atomic::wait costs libstdc++'s shared waiter-pool bookkeeping and a
@@ -29,7 +29,7 @@ namespace mad::sim {
 class FutexGate {
  public:
   /// Blocks until open, then atomically re-closes. Called only by the
-  /// gate's owning thread.
+  /// thread of the worker the gate belongs to.
   void wait() {
     std::uint32_t v = val_.load(std::memory_order_acquire);
     while (v == 0) {
@@ -45,7 +45,7 @@ class FutexGate {
     val_.store(0, std::memory_order_relaxed);
   }
 
-  /// Opens the gate and wakes the owner if it is (or goes) waiting.
+  /// Opens the gate; wakes the worker's thread if it is (or goes) waiting.
   void open() {
     val_.store(1, std::memory_order_release);
 #if defined(__linux__)
