@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -522,6 +523,37 @@ TEST(Engine, DeadlockedRunReturnsItsWorkers) {
   spawn_sleepers(b, kActors, second);
   b.run();
   EXPECT_EQ(second, first);
+}
+
+TEST(Engine, EnginesOnTwoThreadsShareTheList) {
+  // Engines run on two threads at once take workers from, and park them
+  // on, the one process-wide list concurrently; each must still run every
+  // one of its actors. Each engine runs chains of short-lived actors, so
+  // workers move between the list and both engines throughout.
+  constexpr int kChains = 20;
+  constexpr int kLinks = 20;
+  auto run_chains = [](int& done) {
+    Engine eng;
+    std::function<void(int)> link = [&](int left) {
+      eng.sleep_for(left % 3);
+      ++done;
+      if (left > 1) {
+        eng.spawn("link", [&link, left] { link(left - 1); });
+      }
+    };
+    for (int c = 0; c < kChains; ++c) {
+      eng.spawn("chain" + std::to_string(c), [&link] { link(kLinks); });
+    }
+    eng.run();
+  };
+  int done_a = 0;
+  int done_b = 0;
+  std::thread a(run_chains, std::ref(done_a));
+  std::thread b(run_chains, std::ref(done_b));
+  a.join();
+  b.join();
+  EXPECT_EQ(done_a, kChains * kLinks);
+  EXPECT_EQ(done_b, kChains * kLinks);
 }
 
 TEST(Engine, ManyActorsComplete) {
